@@ -46,7 +46,6 @@ from .grouprings import (
 )
 from .skewlaurent import (
     DetClass,
-    SkewField,
     SkewLaurentPoly,
     dieudonne_det,
     matrix_polytope,

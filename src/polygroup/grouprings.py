@@ -65,19 +65,21 @@ class TwistedGroup:
         return TwistedGroup(k, rows)
 
     def twist_power(self, m: int) -> list[list[int]]:
-        """A^m as a list matrix, any integer m (cached)."""
+        """A^m as a list matrix, any integer m, by binary powering of A
+        or A^{-1}; each requested power is cached."""
         if m in self._power_cache:
             return self._power_cache[m]
-        k = self.k
-        if m == 0:
-            result = identity_matrix(k)
-        elif m > 0:
-            result = mat_mul(self.twist_power(m - 1), [list(r) for r in self.twist])
-        else:
-            if -1 not in self._power_cache:
-                self._power_cache[-1] = adjugate_inverse_unimodular(
-                    [list(r) for r in self.twist])
-            result = mat_mul(self.twist_power(m + 1), self._power_cache[-1])
+        base = [list(r) for r in self.twist]
+        if m < 0:
+            base = adjugate_inverse_unimodular(base)
+        result = identity_matrix(self.k)
+        e = abs(m)
+        while e:
+            if e & 1:
+                result = mat_mul(result, base)
+            e >>= 1
+            if e:
+                base = mat_mul(base, base)
         self._power_cache[m] = result
         return result
 

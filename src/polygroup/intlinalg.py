@@ -234,37 +234,6 @@ def saturation_basis(vectors: list[list[int]], rank: int) -> list[list[int]]:
     return int_kernel(ker)
 
 
-def solve_rational(a, b) -> list[Fraction] | None:
-    """One solution of A x = b over Q, or None. A need not be square."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(a[i][j]) for j in range(cols)] + [Fraction(b[i])] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pc = m[r][c]
-        m[r] = [x / pc for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][cols]
-    return x
-
-
 def solve_diophantine(a, b):
     """Integer solutions of A t = b.
 

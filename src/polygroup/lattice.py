@@ -443,12 +443,6 @@ def facet_normals(p: IntegralPolytope):
     return facet_description(p)[1]
 
 
-def contains_point(p: IntegralPolytope, point) -> bool:
-    eqs, ineqs = facet_description(p)
-    return (all(dot(phi, point) == c for phi, c in eqs)
-            and all(dot(phi, point) <= c for phi, c in ineqs))
-
-
 def subset(p: IntegralPolytope, q: IntegralPolytope) -> bool:
     """Is P contained in Q? Exact, via Q's facet inequalities."""
     if p.rank != q.rank:

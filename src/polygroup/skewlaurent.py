@@ -1,4 +1,4 @@
-"""Skew Laurent polynomials over rational functions and their fraction field.
+"""Skew Laurent polynomials over rational functions, and row reduction.
 
 Elements are finite sums sum_m c_m(x) u^m with rational-function
 coefficients; the variable u does not commute with the coefficients but
@@ -6,11 +6,12 @@ conjugates them by the monomial substitution x^e -> x^(A e):
 
     u^m c(x) = c(x^(A^m)) u^m.
 
-The coefficients form a (commutative) field, so the ring is left and
-right Euclidean with respect to the degree span max(m) - min(m), and it
-embeds in a skew field of right fractions p q^{-1}. That is everything
-needed to row-reduce matrices over the rational group ring of
-G = Z^k x| Z and read off Dieudonne determinant classes.
+The coefficients form a (commutative) field, so the ring is left
+Euclidean with respect to the degree span max(m) - min(m), and it embeds
+in a skew field of fractions. Euclidean left row reduction (`_eliminate`)
+is therefore enough to read off ranks over that skew field and
+Dieudonne determinant classes of matrices over the rational group ring
+of G = Z^k x| Z, without ever forming a fraction.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ class SkewLaurentPoly:
         return SkewLaurentPoly(g, ())
 
     @staticmethod
-    def one(g: TwistedGroup) -> "SkewLaurentPoly":
-        return SkewLaurentPoly(g, ((0, RationalFunction.const(g.k, 1)),))
-
-    @staticmethod
     def from_group_ring(a: GroupRingElement, g: TwistedGroup) -> "SkewLaurentPoly":
         by_m: dict[int, dict] = {}
         for (v, m), c in a.terms:
@@ -60,11 +57,6 @@ class SkewLaurentPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def is_unit(self) -> bool:
-        """Single-term elements c u^m are the units (coefficients form a field)."""
-        return len(self.coeffs) == 1
-
     def deg(self) -> int:
         return self.coeffs[-1][0]
 
@@ -76,14 +68,6 @@ class SkewLaurentPoly:
 
     def nterms(self) -> int:
         return sum(c.nterms() for _, c in self.coeffs)
-
-    def twist(self, m: int) -> "SkewLaurentPoly":
-        """Apply the coefficient automorphism of u^m: c -> c(x^(A^m))."""
-        if m == 0:
-            return self
-        mat = self.group.twist_power(m)
-        return SkewLaurentPoly(self.group, tuple(
-            (e, c.substitute_matrix(mat)) for e, c in self.coeffs))
 
     def __add__(self, other):
         d = dict(self.coeffs)
@@ -117,12 +101,6 @@ class SkewLaurentPoly:
                     d[key] = nc
         return SkewLaurentPoly(self.group, tuple(sorted(d.items())))
 
-    def coeff_mul(self, c: RationalFunction) -> "SkewLaurentPoly":
-        """Left multiplication by a coefficient."""
-        if c.is_zero:
-            return SkewLaurentPoly.zero(self.group)
-        return SkewLaurentPoly(self.group, tuple((m, c * cm) for m, cm in self.coeffs))
-
     def monomial_mul_left(self, c: RationalFunction, e: int) -> "SkewLaurentPoly":
         """(c u^e) * self."""
         mat = self.group.twist_power(e)
@@ -132,22 +110,6 @@ class SkewLaurentPoly:
             if not nc.is_zero:
                 items.append((m + e, nc))
         return SkewLaurentPoly(self.group, tuple(sorted(items)))
-
-    def monomial_mul_right(self, c: RationalFunction, e: int) -> "SkewLaurentPoly":
-        """self * (c u^e)."""
-        items = []
-        for m, cm in self.coeffs:
-            nc = cm * c.substitute_matrix(self.group.twist_power(m))
-            if not nc.is_zero:
-                items.append((m + e, nc))
-        return SkewLaurentPoly(self.group, tuple(sorted(items)))
-
-    def inverse_unit(self) -> "SkewLaurentPoly":
-        if not self.is_unit:
-            raise ZeroDivisionError("only single-term elements are invertible")
-        m, c = self.coeffs[0]
-        inv = c.inverse().substitute_matrix(self.group.twist_power(-m))
-        return SkewLaurentPoly(self.group, ((-m, inv),))
 
     def to_group_ring_pair(self) -> tuple[GroupRingElement, GroupRingElement]:
         """Write self as d^{-1} N with N in QG and d a fiber Laurent polynomial.
@@ -172,8 +134,8 @@ class SkewLaurentPoly:
         return num, den
 
 
-def skew_divmod(a: SkewLaurentPoly, b: SkewLaurentPoly, right: bool = False):
-    """Euclidean division a = q b + r (or a = b q + r when right=True).
+def skew_divmod(a: SkewLaurentPoly, b: SkewLaurentPoly):
+    """Left Euclidean division a = q b + r.
 
     The remainder satisfies r = 0 or span(r) < span(b); the Euclidean
     function is the degree span, so the loop terminates because the top
@@ -189,182 +151,10 @@ def skew_divmod(a: SkewLaurentPoly, b: SkewLaurentPoly, right: bool = False):
     lb = b.coeffs[-1][1]
     while not r.is_zero and r.span() >= b.span():
         e = r.deg() - db
-        lr = r.coeffs[-1][1]
-        if right:
-            c = (lr / lb).substitute_matrix(g.twist_power(-db))
-            r = r - b.monomial_mul_right(c, e)
-        else:
-            c = lr / lb.substitute_matrix(g.twist_power(e))
-            r = r - b.monomial_mul_left(c, e)
+        c = r.coeffs[-1][1] / lb.substitute_matrix(g.twist_power(e))
+        r = r - b.monomial_mul_left(c, e)
         q = q + SkewLaurentPoly(g, ((e, c),))
     return q, r
-
-
-def _monic_left(p: SkewLaurentPoly) -> SkewLaurentPoly:
-    """Left-multiply by a coefficient unit to make the top coefficient 1.
-
-    Left unit scaling preserves right divisors, so this is the
-    normalization allowed inside the right-divisor Euclid loop.
-    """
-    if p.is_zero:
-        return p
-    _, c = p.coeffs[-1]
-    if c == RationalFunction.const(p.group.k, 1):
-        return p
-    return p.coeff_mul(c.inverse())
-
-
-def gcrd(a: SkewLaurentPoly, b: SkewLaurentPoly) -> SkewLaurentPoly:
-    """Greatest common right divisor, via left-quotient Euclid."""
-    a = _monic_left(a)
-    b = _monic_left(b)
-    while not b.is_zero:
-        _, r = skew_divmod(a, b)
-        a, b = b, _monic_left(r)
-    return a
-
-
-def common_right_multiple(a: SkewLaurentPoly, b: SkewLaurentPoly):
-    """Nonzero s, t with a s = b t, via the extended right-quotient Euclid."""
-    if a.is_zero or b.is_zero:
-        raise ZeroDivisionError("common right multiple needs nonzero inputs")
-    g = a.group
-    r0, r1 = a, b
-    s0, s1 = SkewLaurentPoly.one(g), SkewLaurentPoly.zero(g)
-    t0, t1 = SkewLaurentPoly.zero(g), SkewLaurentPoly.one(g)
-    while not r1.is_zero:
-        q, r2 = skew_divmod(r0, r1, right=True)
-        s2 = s0 - s1 * q
-        t2 = t0 - t1 * q
-        if not r2.is_zero:
-            # right-scale the new row by a unit to keep coefficients small
-            m, c = r2.coeffs[-1]
-            w = c.inverse().substitute_matrix(g.twist_power(-m))
-            r2 = r2.monomial_mul_right(w, 0)
-            s2 = s2.monomial_mul_right(w, 0)
-            t2 = t2.monomial_mul_right(w, 0)
-        r0, r1 = r1, r2
-        s0, s1 = s1, s2
-        t0, t1 = t1, t2
-    # now 0 = a s1 + b t1 with s1, t1 nonzero
-    s, t = s1, -t1
-    if s.is_zero or t.is_zero:
-        raise ArithmeticError("degenerate cofactors in right multiple")
-    return s, t
-
-
-SIMPLIFY_TERM_BUDGET = 80
-
-
-@dataclass(frozen=True)
-class SkewField:
-    """Right fraction num * den^{-1} over the skew Laurent ring."""
-
-    num: SkewLaurentPoly
-    den: SkewLaurentPoly
-
-    @staticmethod
-    def make(num: SkewLaurentPoly, den: SkewLaurentPoly) -> "SkewField":
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        g = num.group
-        if num.is_zero:
-            return SkewField(SkewLaurentPoly.zero(g), SkewLaurentPoly.one(g))
-        if den.is_unit:
-            return SkewField(num * den.inverse_unit(), SkewLaurentPoly.one(g))
-        if num.nterms() + den.nterms() <= SIMPLIFY_TERM_BUDGET:
-            # cancelling common right divisors is only an optimization;
-            # skip it when the operands are large enough that the Euclid
-            # remainder sequence would swell worse than the fraction
-            d = gcrd(num, den)
-            if not d.is_unit:
-                qn, rn = skew_divmod(num, d)
-                qd, rd = skew_divmod(den, d)
-                if rn.is_zero and rd.is_zero:
-                    num, den = qn, qd
-        if den.is_unit:
-            return SkewField(num * den.inverse_unit(), SkewLaurentPoly.one(g))
-        # shift the denominator to lowest u-degree 0 and make it monic;
-        # right scaling by a unit does not change the fraction
-        m, c = den.coeffs[-1]
-        w = c.inverse().substitute_matrix(g.twist_power(-m))
-        num = num.monomial_mul_right(w, -den.ord())
-        den = den.monomial_mul_right(w, -den.ord())
-        return SkewField(num, den)
-
-    @staticmethod
-    def from_poly(p: SkewLaurentPoly) -> "SkewField":
-        return SkewField(p, SkewLaurentPoly.one(p.group))
-
-    @staticmethod
-    def zero(g: TwistedGroup) -> "SkewField":
-        return SkewField(SkewLaurentPoly.zero(g), SkewLaurentPoly.one(g))
-
-    @staticmethod
-    def one(g: TwistedGroup) -> "SkewField":
-        return SkewField(SkewLaurentPoly.one(g), SkewLaurentPoly.one(g))
-
-    @property
-    def group(self) -> TwistedGroup:
-        return self.num.group
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __add__(self, other):
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.den.is_unit and other.den.is_unit:
-            return SkewField.make(self.num * self.den.inverse_unit()
-                                  + other.num * other.den.inverse_unit(),
-                                  SkewLaurentPoly.one(self.group))
-        s, t = common_right_multiple(self.den, other.den)
-        return SkewField.make(self.num * s + other.num * t, self.den * s)
-
-    def __neg__(self):
-        return SkewField(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if self.is_zero or other.is_zero:
-            return SkewField.zero(self.group)
-        if self.den.is_unit:
-            return SkewField.make(self.num * self.den.inverse_unit() * other.num,
-                                  other.den)
-        # den1^{-1} num2 = s t^{-1} where den1 s = num2 t
-        s, t = common_right_multiple(self.den, other.num)
-        return SkewField.make(self.num * s, other.den * t)
-
-    def inverse(self) -> "SkewField":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero")
-        return SkewField.make(self.den, self.num)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        if not isinstance(other, SkewField):
-            return NotImplemented
-        return (self - other).is_zero
-
-    def __hash__(self):
-        return hash((self.num.is_zero, self.num.group.twist))
-
-    def polytope(self) -> TranslationClass:
-        """Translation class of this fraction under the polytope map."""
-        if self.is_zero:
-            raise GroupRingError("polytope of zero")
-        g = self.group
-        n1, d1 = self.num.to_group_ring_pair()
-        n2, d2 = self.den.to_group_ring_pair()
-        out = element_polytope(n1, g).sub(element_polytope(d1, g))
-        return out.sub(element_polytope(n2, g)).add(element_polytope(d2, g))
 
 
 @dataclass(frozen=True)
@@ -395,56 +185,52 @@ def _pivot_key(p: SkewLaurentPoly):
     return (p.span(), len(p.coeffs), p.nterms())
 
 
-def _triangularize(rows):
-    """Row-reduce a square matrix of SkewLaurentPoly to upper triangular.
+def _eliminate(rows):
+    """Reduce a matrix of SkewLaurentPoly (a list of row lists) to row
+    echelon form in place, by Euclidean left row reduction.
 
-    Only operations that leave the Dieudonne class invariant up to sign
-    are used: row swaps (sign flip) and adding left multiples of one row
-    to another. Returns (diagonal entries, sign) or None if singular.
+    Column by column, the live entry (nonzero, in a row without a pivot
+    yet) with the smallest (span, len(coeffs), nterms), the first such
+    row on ties, divides the other live entries, and the left quotient
+    multiples of its row are subtracted from theirs. The new entries have
+    smaller span than the divisor, so the minimal span drops until one
+    live entry is left; it becomes the pivot and its row moves up to the
+    next echelon position.
+
+    Only row swaps and adding left multiples of one row to another are
+    used: the row space over the skew field of fractions is kept, and so
+    is the Dieudonne class of a square matrix, up to the sign of the
+    swaps.
+
+    Returns (rank, labels, sign): rows[:rank] are the pivot rows, row i
+    started as input row labels[i], and sign is the parity of the swaps.
     """
-    n = len(rows)
-    if n == 0:
-        return [], 1
-    sign = 1
-    rows = [list(r) for r in rows]
-    for col in range(n):
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    labels = list(range(nrows))
+    rank, sign = 0, 1
+    for col in range(ncols):
+        if rank == nrows:
+            break
         while True:
-            live = [i for i in range(col, n) if not rows[i][col].is_zero]
+            live = [i for i in range(rank, nrows) if not rows[i][col].is_zero]
             if not live:
-                return None
+                break
             if len(live) == 1:
                 i = live[0]
-                if i != col:
-                    rows[col], rows[i] = rows[i], rows[col]
+                if i != rank:
+                    rows[rank], rows[i] = rows[i], rows[rank]
+                    labels[rank], labels[i] = labels[i], labels[rank]
                     sign = -sign
+                rank += 1
                 break
             piv = min(live, key=lambda i: _pivot_key(rows[i][col]))
-            if rows[piv][col].is_unit:
-                if piv != col:
-                    rows[col], rows[piv] = rows[piv], rows[col]
-                    sign = -sign
-                piv = col
             target = rows[piv][col]
-            progressed = False
             for i in live:
-                if i == piv:
-                    continue
-                q, _ = skew_divmod(rows[i][col], target)
-                if q.is_zero:
-                    continue
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[piv])]
-                progressed = True
-            if not progressed and len(live) > 1:
-                # remaining entries all have smaller span than the pivot
-                # and zero quotient cannot happen then; guard anyway
-                raise ArithmeticError("elimination stalled")
-            if rows[piv][col].is_unit and all(
-                    rows[i][col].is_zero for i in range(col, n) if i != piv):
-                if piv != col:
-                    rows[col], rows[piv] = rows[piv], rows[col]
-                    sign = -sign
-                break
-    return [rows[i][i] for i in range(n)], sign
+                if i != piv:
+                    q, _ = skew_divmod(rows[i][col], target)
+                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[piv])]
+    return rank, labels, sign
 
 
 def dieudonne_det(m, g: TwistedGroup):
@@ -459,20 +245,15 @@ def dieudonne_det(m, g: TwistedGroup):
     n = len(m)
     if any(len(row) != n for row in m):
         raise GroupRingError("determinant of a non-square matrix")
-    if n == 0:
-        one = GroupRingElement.one(g.k)
-        zero_class = element_polytope(one, g)
-        return DetClass(one, one, 0, 1, zero_class)
     rows = _matrix_to_skew(m, g)
-    tri = _triangularize(rows)
-    if tri is None:
+    rank, _, sign = _eliminate(rows)
+    if rank < n:
         return None
-    diag, sign = tri
     num = GroupRingElement.one(g.k)
     den = GroupRingElement.one(g.k)
     pol = element_polytope(GroupRingElement.one(g.k), g)
-    for d in diag:
-        nd, dd = d.to_group_ring_pair()
+    for i in range(n):
+        nd, dd = rows[i][i].to_group_ring_pair()
         num = gr_mul(num, nd, g)
         den = gr_mul(den, dd, g)
         pol = pol.add(element_polytope(nd, g)).sub(element_polytope(dd, g))
@@ -489,30 +270,4 @@ def matrix_polytope(m, g: TwistedGroup):
 
 def rank_over_skew_field(m, g: TwistedGroup) -> int:
     """Row rank of a (not necessarily square) matrix over the skew field."""
-    if not m or not m[0]:
-        return 0
-    rows = _matrix_to_skew(m, g)
-    nrows = len(rows)
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        while True:
-            live = [i for i in range(rank, nrows) if not rows[i][col].is_zero]
-            if not live:
-                break
-            if len(live) == 1:
-                i = live[0]
-                rows[rank], rows[i] = rows[i], rows[rank]
-                rank += 1
-                break
-            piv = min(live, key=lambda i: _pivot_key(rows[i][col]))
-            target = rows[piv][col]
-            for i in live:
-                if i == piv:
-                    continue
-                q, _ = skew_divmod(rows[i][col], target)
-                if not q.is_zero:
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[piv])]
-    return rank
+    return _eliminate(_matrix_to_skew(m, g))[0]

@@ -31,9 +31,8 @@ from .grouprings import (
 from .skewlaurent import (
     dieudonne_det,
     rank_over_skew_field,
+    _eliminate,
     _matrix_to_skew,
-    _pivot_key,
-    skew_divmod,
 )
 from .vpolytope import TranslationClass
 
@@ -103,18 +102,10 @@ def validate(c: BasedChainComplex) -> bool:
     return c.check()[0]
 
 
-def _boundary_rank(c: BasedChainComplex, n: int) -> int:
-    if not (1 <= n <= c.top_degree()):
-        return 0
-    m = c.boundary(n)
-    if not m or not m[0]:
-        return 0
-    return rank_over_skew_field(m, c.group)
-
-
 def is_l2_acyclic(c: BasedChainComplex) -> bool:
-    """Exactness after passing to the skew field of fractions."""
-    ranks_d = [_boundary_rank(c, n) for n in range(len(c.ranks) + 1)] + [0]
+    """Exactness after passing to the skew field of fractions:
+    rank d_n + rank d_{n+1} = c_n in every degree n."""
+    ranks_d = [0] + [rank_over_skew_field(m, c.group) for m in c.boundaries] + [0]
     return all(ranks_d[n] + ranks_d[n + 1] == c.ranks[n]
                for n in range(len(c.ranks)))
 
@@ -125,57 +116,35 @@ class TorsionResult:
     polytope: TranslationClass | None
 
 
-def _pivot_rows(mat, g: TwistedGroup, row_order):
-    """Indices of a maximal set of left-independent rows, preferring the
-    given order. Elimination mirrors rank_over_skew_field but remembers
-    which original rows supplied pivots."""
-    if not mat or not mat[0]:
-        return []
-    rows = _matrix_to_skew(mat, g)
-    tagged = [(rows[i], i) for i in row_order]
-    ncols = len(mat[0])
-    rank = 0
-    chosen = []
-    work = [list(r) for r, _ in tagged]
-    labels = [i for _, i in tagged]
-    nrows = len(work)
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        while True:
-            live = [i for i in range(rank, nrows) if not work[i][col].is_zero]
-            if not live:
-                break
-            if len(live) == 1:
-                i = live[0]
-                work[rank], work[i] = work[i], work[rank]
-                labels[rank], labels[i] = labels[i], labels[rank]
-                chosen.append(labels[rank])
-                rank += 1
-                break
-            piv = min(live, key=lambda i: _pivot_key(work[i][col]))
-            target = work[piv][col]
-            for i in live:
-                if i == piv:
-                    continue
-                q, _ = skew_divmod(work[i][col], target)
-                if not q.is_zero:
-                    work[i] = [a - q * b for a, b in zip(work[i], work[piv])]
-    return sorted(chosen)
-
-
 def _zero_class(g: TwistedGroup) -> TranslationClass:
     return element_polytope(GroupRingElement.one(g.k), g)
 
 
 def _choose_subsets(c: BasedChainComplex, rng: random.Random | None):
-    """Column sets S_n and row sets R_{n-1} with d_n[R_{n-1}, S_n] invertible.
+    """Column sets S_n and row sets R_{n-1} with d_n[R_{n-1}, S_n]
+    invertible over the skew field, or None when the complex is not
+    exact over it. Both torsion algorithms use this as their only
+    acyclicity test.
 
-    Built from the top degree down: S_N is everything, R_{n-1} is a set
-    of independent rows of d_n restricted to the columns S_n, and
-    S_{n-1} is its complement. Exactness over the skew field guarantees
-    each stage succeeds for any admissible previous stage.
+    Built from the top degree down: S_N holds every basis element of
+    C_N, R_{n-1} is a set of |S_n| rows of d_n independent on the columns
+    S_n (tried in the order rng shuffles), and S_{n-1} is its complement;
+    S_0 must end up empty. Since d o d = 0 (BasedChainComplex.make
+    checks it), success is the same as exactness:
+
+    - If every stage succeeds, then rank d_n >= |S_n| and c_n = |S_n| +
+      |R_n| = |S_n| + |S_{n+1}|, so rank d_n + rank d_{n+1} >= c_n, and
+      d o d = 0 gives <=.
+    - If the complex is exact and rank d_{n+1} = |S_{n+1}| (true at the
+      top), then, d_{n+1}[R_n, S_{n+1}] being invertible, projecting
+      im d_{n+1} onto the coordinates R_n is onto, and injective as both
+      sides have dimension |S_{n+1}|. So ker d_n = im d_{n+1} meets the
+      span of S_n in 0: the columns S_n of d_n are independent, the
+      stage succeeds, and rank d_n = c_n - |S_{n+1}| = |S_n|; at the
+      bottom, |S_0| = rank d_0 = 0.
     """
+    if not c.ranks:  # the zero complex is exact
+        return {}, {}
     g = c.group
     top = c.top_degree()
     s = {top: list(range(c.ranks[top]))}
@@ -183,16 +152,16 @@ def _choose_subsets(c: BasedChainComplex, rng: random.Random | None):
     for n in range(top, 0, -1):
         cols = s[n]
         mat = c.boundary(n)
-        sub = [[mat[i][j] for j in cols] for i in range(c.ranks[n - 1])]
         order = list(range(c.ranks[n - 1]))
         if rng is not None:
             rng.shuffle(order)
-        piv = _pivot_rows(sub, g, order)
-        if len(piv) != len(cols):
+        rows = _matrix_to_skew([[mat[i][j] for j in cols] for i in order], g)
+        rank, labels, _ = _eliminate(rows)
+        if rank != len(cols):
             return None
-        r[n - 1] = piv
-        s[n - 1] = [i for i in range(c.ranks[n - 1]) if i not in set(piv)]
-    if s.get(0) and len(s[0]) != 0:
+        r[n - 1] = sorted(order[t] for t in labels[:rank])
+        s[n - 1] = sorted(set(range(c.ranks[n - 1])) - set(r[n - 1]))
+    if s[0]:
         return None
     return s, r
 
@@ -204,8 +173,6 @@ def torsion_polytope(c: BasedChainComplex,
     The subsets may be randomized through rng; the resulting class is
     independent of any admissible choice.
     """
-    if not is_l2_acyclic(c):
-        return TorsionResult(False, None)
     g = c.group
     picked = _choose_subsets(c, rng)
     if picked is None:
@@ -241,8 +208,6 @@ def torsion_via_contraction(c: BasedChainComplex,
 
     whose right-hand side involves only group-ring matrices.
     """
-    if not is_l2_acyclic(c):
-        return TorsionResult(False, None)
     g = c.group
     picked = _choose_subsets(c, rng)
     if picked is None:
@@ -251,8 +216,6 @@ def torsion_via_contraction(c: BasedChainComplex,
     nmods = len(c.ranks)
     odd = [n for n in range(nmods) if n % 2 == 1]
     even = [n for n in range(nmods) if n % 2 == 0]
-    if sum(c.ranks[n] for n in even) != sum(c.ranks[n] for n in odd):
-        return TorsionResult(False, None)
     # gamma_n is nonzero only for odd n with S_{n+1} nonempty
     blocks = [n for n in odd if n + 1 < nmods and s[n + 1]]
     m_base = {}

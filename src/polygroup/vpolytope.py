@@ -125,9 +125,15 @@ class TranslationClass:
             return NotImplemented
         return pt_equal(self.vp, other.vp)
 
-    def __hash__(self):  # classes have non-unique reps; sums make them unique
-        a = minkowski_sum(self.vp.pos, reflect(self.vp.neg))
-        return hash(_normalize_to_origin(a).vertices)
+    def __hash__(self):
+        # classes have many representatives; hash the translation-invariant
+        # homomorphism x -> (seminorm_map(x, cov)) on the covectors
+        # e_i and e_i +- e_j, which equal classes share
+        r = self.rank
+        unit = [tuple(int(t == i) for t in range(r)) for i in range(r)]
+        covs = unit + [tuple(a + sgn * b for a, b in zip(unit[i], unit[j]))
+                       for i in range(r) for j in range(i + 1, r) for sgn in (1, -1)]
+        return hash((r, tuple(seminorm_map(self.vp, cov) for cov in covs)))
 
     def add(self, other: "TranslationClass") -> "TranslationClass":
         return TranslationClass.of(vp_add(self.vp, other.vp))

@@ -107,6 +107,22 @@ def test_twist_relation():
     assert gr_mul(x2, u, g) != lhs
 
 
+def test_twist_power_large_exponents():
+    g = TwistedGroup.make(2, HEISENBERG)
+    a = HEISENBERG
+    a_inv = [[1, -1], [0, 1]]
+    assert g.twist_power(1500) == mat_mul(g.twist_power(1499), a)
+    assert g.twist_power(-1500) == mat_mul(g.twist_power(-1499), a_inv)
+    assert g.twist_power(1500) == [[1, 1500], [0, 1]]
+    # u^1500 x2 = x^{A^1500 e_2} u^1500 and x2 u^-1500 = u^-1500 x^{A^1500 e_2}
+    x2 = GroupRingElement.monomial(2, (0, 1), 0)
+    up = GroupRingElement.monomial(2, (0, 0), 1500)
+    assert gr_mul(up, x2, g) == GroupRingElement.monomial(2, (1500, 1), 1500)
+    um = GroupRingElement.monomial(2, (0, 0), -1500)
+    assert gr_mul(um, GroupRingElement.monomial(2, (1500, 1), 0), g) == \
+        GroupRingElement.monomial(2, (0, 1), -1500)
+
+
 def test_newton_polytope():
     a = GroupRingElement.from_dict(
         1, {((0,), 0): 1, ((2,), 1): -3, ((1,), -1): Fraction(1, 2)})

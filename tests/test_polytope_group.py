@@ -92,6 +92,23 @@ def test_translation_invisible_in_quotient():
         assert pt_is_zero(vp_sub(shifted, x))
 
 
+def test_equal_classes_hash_alike():
+    p = hull([(0, 0), (2, 0), (0, 1)])
+    q = hull([(0, 0), (1, 1)])
+    r = hull([(0, 0), (1, 0), (0, 2)])
+    a = TranslationClass.of(vp(p, q))
+    b = TranslationClass.of(vp(minkowski_sum(p, r), minkowski_sum(q, r)))
+    assert a == b
+    assert len({a, b}) == 1
+    rng = random.Random(5)
+    for _ in range(10):
+        x = random_virtual(rng, 3)
+        r = random_polytope(rng, 3)
+        y = vp_add(x, VirtualPolytope(r, r))
+        assert TranslationClass.of(x) == TranslationClass.of(y)
+        assert hash(TranslationClass.of(x)) == hash(TranslationClass.of(y))
+
+
 def test_leq_basics():
     p = hull([(0, 0), (2, 1), (1, 3)])
     assert leq(VirtualPolytope.zero(2), vp(p))

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gen import HEISENBERG, SOL, random_acyclic_complex
 from polygroup.grouprings import GroupRingElement, TwistedGroup, h1_rank
@@ -49,16 +50,54 @@ def test_circle_is_acyclic_with_torsion_minus_interval():
     assert r.polytope == minus_interval
 
 
+def test_zero_complex_has_zero_torsion():
+    c = BasedChainComplex.make(TwistedGroup.make(0, []), (), [])
+    assert is_l2_acyclic(c)
+    for algorithm in (torsion_polytope, torsion_via_contraction):
+        r = algorithm(c)
+        assert r.acyclic and r.polytope.is_zero()
+
+
 def test_non_acyclic_complex_reported():
-    # 0 -> QG -> 0 with zero boundary has nonzero homology
-    g = TwistedGroup.make(0, [])
-    zero = GroupRingElement.zero(0)
-    c = BasedChainComplex.make(g, (1, 1), [[[zero]]])
-    assert not is_l2_acyclic(c)
-    r = torsion_polytope(c)
-    assert not r.acyclic and r.polytope is None
-    rc = torsion_via_contraction(c)
-    assert not rc.acyclic and rc.polytope is None
+    g0 = TwistedGroup.make(0, [])
+    g = TwistedGroup.make(2, HEISENBERG)
+    zero = GroupRingElement.zero(2)
+    a = GroupRingElement.monomial(2, (1, 0), 0) - GroupRingElement.one(2)
+    b = GroupRingElement.monomial(2, (0, 0), 1) - GroupRingElement.one(2)
+    cases = [
+        # 0 -> QG -> 0 with zero boundary has nonzero homology
+        (g0, (1, 1), [[[GroupRingElement.zero(0)]]]),
+        # the subset choice fails at the top stage: d2 has rank 0
+        (g, (1, 2, 1), [[[a, b]], [[zero], [zero]]]),
+        # the top stage succeeds, then the column left for d1 is zero
+        (g, (1, 2, 1), [[[zero, zero]], [[a], [zero]]]),
+        # every stage succeeds but S_0 is left non-empty
+        (g, (2, 1), [[[a], [zero]]]),
+    ]
+    for args in cases:
+        c = BasedChainComplex.make(*args)
+        assert not is_l2_acyclic(c)
+        for algorithm in (torsion_polytope, torsion_via_contraction):
+            r = algorithm(c)
+            assert not r.acyclic and r.polytope is None
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), twist=st.sampled_from([HEISENBERG, SOL]),
+       sizes=st.sampled_from([(1, 1), (2, 1), (1, 2)]),
+       kill=st.sampled_from([None, 0, 1]))
+def test_acyclicity_tests_agree(seed, twist, sizes, kill):
+    g = TwistedGroup.make(2, twist)
+    c = random_acyclic_complex(g, random.Random(seed), *sizes)
+    if kill is not None:
+        # a zero boundary keeps d o d = 0 but breaks exactness
+        mats = [list(m) for m in c.boundaries]
+        mats[kill] = [[GroupRingElement.zero(2)] * len(row) for row in mats[kill]]
+        c = BasedChainComplex.make(g, c.ranks, mats)
+    expected = is_l2_acyclic(c)
+    assert expected == (kill is None)
+    assert torsion_polytope(c).acyclic == expected
+    assert torsion_via_contraction(c).acyclic == expected
 
 
 def test_mapping_torus_ranks_and_acyclicity():
