@@ -7,6 +7,7 @@ are immutable; every operation is pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
@@ -114,6 +115,37 @@ class AffineLatticeMap:
                                       for i in range(n)), (0,) * n)
 
 
+def _ccw_cmp(u, v) -> int:
+    """Compare nonzero plane vectors by angle, counterclockwise from +x.
+
+    Exact: the upper half-plane (with the +x ray) comes first, and within
+    a half-plane the sign of the cross product decides.
+    """
+    hu = 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
+    hv = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+    if hu != hv:
+        return hu - hv
+    cr = u[0] * v[1] - u[1] * v[0]
+    return -1 if cr > 0 else (1 if cr < 0 else 0)
+
+
+ccw_key = functools.cmp_to_key(_ccw_cmp)
+
+
+def ccw_order(vertices) -> list[Point]:
+    """Vertices of a polygon counterclockwise around their centroid.
+
+    Up to two vertices are returned as given.
+    """
+    verts = list(vertices)
+    if len(verts) <= 2:
+        return verts
+    m = len(verts)
+    cx = sum(v[0] for v in verts)
+    cy = sum(v[1] for v in verts)
+    return sorted(verts, key=lambda v: ccw_key((v[0] * m - cx, v[1] * m - cy)))
+
+
 def _check_ranks(points):
     ranks = {len(p) for p in points}
     if len(ranks) != 1:
@@ -122,7 +154,7 @@ def _check_ranks(points):
 
 
 def _hull_rank2(points):
-    """Monotone chain; returns the extreme points only."""
+    """Monotone chain; returns the extreme points in counterclockwise order."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
@@ -138,10 +170,7 @@ def _hull_rank2(points):
             out.append(p)
         return out
 
-    lower = half(pts)
-    upper = half(reversed(pts))
-    hull_pts = set(lower) | set(upper)
-    return sorted(hull_pts)
+    return half(pts)[:-1] + half(reversed(pts))[:-1]
 
 
 def _echelon_add(rows, v) -> bool:
@@ -181,7 +210,7 @@ def _affine_frame(pts):
 
 
 def _hull_fulldim(pts, simplex):
-    """Vertices of the hull of distinct points affinely spanning Z^d, d >= 3.
+    """Vertices and facets of the hull of distinct points spanning Z^d, d >= 3.
 
     Exact incremental beneath-beyond with Quickhull's outside sets
     (Barber, Dobkin, Huhdanpaa, ACM TOMS 1996), started from the sorted
@@ -190,7 +219,10 @@ def _hull_fulldim(pts, simplex):
     on input points. A facet is visible from a point only when the point
     lies strictly beyond it, so points on the current boundary are
     dropped. At the end a triangulation vertex is a polytope vertex iff
-    the normals of the facets through it have full rank.
+    the normals of the facets through it have full rank, and the
+    polytope's facets are the distinct (primitive outer normal, offset)
+    pairs of the triangles, since coplanar triangles share both.
+    Returns (vertices, sorted facets).
     """
     d = len(pts[0])
     # (d + 1) times the centroid of the simplex: interior to every later hull
@@ -269,7 +301,7 @@ def _hull_fulldim(pts, simplex):
             _echelon_add(rows, nm)
         if len(rows) == d:
             out.append(pts[v])
-    return out
+    return out, sorted({(normal, offset) for _, normal, offset, _ in facets.values()})
 
 
 def hull(points) -> IntegralPolytope:
@@ -279,7 +311,8 @@ def hull(points) -> IntegralPolytope:
     >= 3 the points are projected injectively onto pivot coordinates of
     their direction lattice; a projection of dimension <= 2 is solved as
     above, and a full-dimensional one by the exact beneath-beyond engine
-    `_hull_fulldim`. No linear program is solved.
+    `_hull_fulldim`, which also yields the facets for `facet_description`.
+    No linear program is solved.
     """
     pts = [tuple(int(c) for c in p) for p in points]
     if not pts:
@@ -293,7 +326,7 @@ def hull(points) -> IntegralPolytope:
         verts = ((lo,),) if lo == hi else ((lo,), (hi,))
         return IntegralPolytope(1, verts)
     if rank == 2:
-        return IntegralPolytope(2, tuple(_hull_rank2(pts)))
+        return IntegralPolytope(2, tuple(sorted(_hull_rank2(pts))))
     pts = sorted(set(pts))
     frame, pivots = _affine_frame(pts)
     proj = {tuple(p[c] for c in pivots): p for p in pts}
@@ -303,7 +336,7 @@ def hull(points) -> IntegralPolytope:
     elif len(pivots) == 2:
         verts = _hull_rank2(low)
     else:
-        verts = _hull_fulldim(low, frame)
+        verts = _hull_fulldim(low, frame)[0]
     return IntegralPolytope(rank, tuple(sorted({proj[v] for v in verts})))
 
 
@@ -352,35 +385,27 @@ def _cofactor_normal(rows):
         minor = [[row[c] for c in range(d) if c != j] for row in rows]
         det = int_det(minor) if minor else 1
         normal.append(det if j % 2 == 0 else -det)
-    if all(x == 0 for x in normal):
-        return None
     return primitive(normal)
 
 
 def _facets_fulldim(vertices, d):
     """Facets of a full-dimensional polytope in Z^d given by its vertices.
 
-    Returns a sorted list of (primitive outer normal, constant).
+    Returns a sorted list of (primitive outer normal, constant): the
+    extremes for d = 1, the edges of the monotone chain for d = 2, and
+    the facets of the hull engine `_hull_fulldim` for d >= 3.
     """
-    verts = list(vertices)
     if d == 1:
-        xs = [v[0] for v in verts]
+        xs = [v[0] for v in vertices]
         return [((-1,), -min(xs)), ((1,), max(xs))]
-    found = {}
-    for combo in itertools.combinations(verts, d):
-        base = combo[0]
-        rows = [[a - b for a, b in zip(v, base)] for v in combo[1:]]
-        normal = _cofactor_normal(rows)
-        if normal is None:
-            continue
-        vals = [dot(normal, v) for v in verts]
-        c0 = dot(normal, base)
-        if all(v <= c0 for v in vals):
-            found[normal] = c0
-        elif all(v >= c0 for v in vals):
-            neg = tuple(-x for x in normal)
-            found[neg] = -c0
-    return sorted(found.items())
+    if d == 2:
+        cycle = _hull_rank2(vertices)
+        out = []
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            normal = primitive((b[1] - a[1], a[0] - b[0]))
+            out.append((normal, dot(normal, a)))
+        return sorted(out)
+    return _hull_fulldim(vertices, _affine_frame(vertices)[0])[1]
 
 
 def _pullback_covector(basis_cols, psi):
@@ -400,7 +425,9 @@ def facet_description(p: IntegralPolytope):
 
     Returns (equalities, inequalities): lists of (covector, c) meaning
     phi(x) == c resp. phi(x) <= c, whose simultaneous solution set is
-    exactly P.
+    exactly P. The facets come from the hull engine, applied to P's
+    full-dimensional model `polytope_coords` when P is not
+    full-dimensional.
     """
     n = p.rank
     v0 = p.vertices[0]
@@ -410,24 +437,14 @@ def facet_description(p: IntegralPolytope):
     if not dirs:
         eqs = [(tuple(1 if j == i else 0 for j in range(n)), v0[i]) for i in range(n)]
         return eqs, []
-    kernel = int_kernel(dirs) if dirs else []
+    kernel = int_kernel(dirs)
     equalities = [(tuple(k), dot(k, v0)) for k in kernel]
-    d = n - len(kernel)
-    if d == n:
+    if not kernel:
         return equalities, _facets_fulldim(p.vertices, n)
-    basis = saturation_basis(dirs, n)  # d vectors of length n
-    basis_cols = [[basis[j][i] for j in range(d)] for i in range(n)]  # n x d
-    # coordinates of each vertex in the basis
-    bmat = [[basis[j][i] for j in range(d)] for i in range(n)]
-    coords = []
-    for v in p.vertices:
-        diff = [a - b for a, b in zip(v, v0)]
-        z = solve_integer_exact(bmat, diff)
-        if z is None:
-            raise GeometryError("vertex outside saturated direction lattice")
-        coords.append(tuple(z))
+    coords, basis, _ = polytope_coords(p)
+    basis_cols = [[b[i] for b in basis] for i in range(n)]  # n x d
     ineqs = []
-    for psi, c in _facets_fulldim(coords, d):
+    for psi, c in _facets_fulldim(coords.vertices, coords.rank):
         phi = _pullback_covector(basis_cols, psi)
         ineqs.append((phi, c + dot(phi, v0)))
     return equalities, sorted(ineqs)

@@ -9,40 +9,15 @@ input: all coordinates are integers and the element order is fixed.
 
 from __future__ import annotations
 
-import functools
-
-from .lattice import GeometryError, IntegralPolytope
+from .lattice import GeometryError, IntegralPolytope, ccw_order
 from .vpolytope import TranslationClass, is_polytope
 
 SCALE = 40
 MARGIN = 1
 
 
-def _boundary_order(p: IntegralPolytope) -> list[tuple[int, int]]:
-    """Vertices in counterclockwise boundary order."""
-    verts = list(p.vertices)
-    if len(verts) <= 2:
-        return verts
-    cx = sum(v[0] for v in verts)
-    cy = sum(v[1] for v in verts)
-    m = len(verts)
-
-    def cmp(u, v):
-        ux, uy = u[0] * m - cx, u[1] * m - cy
-        vx, vy = v[0] * m - cx, v[1] * m - cy
-        hu = 0 if (uy > 0 or (uy == 0 and ux > 0)) else 1
-        hv = 0 if (vy > 0 or (vy == 0 and vx > 0)) else 1
-        if hu != hv:
-            return hu - hv
-        cr = ux * vy - uy * vx
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-    return sorted(verts, key=functools.cmp_to_key(cmp))
-
-
 def _path(p: IntegralPolytope, to_px) -> str:
-    pts = _boundary_order(p)
-    coords = [to_px(v) for v in pts]
+    coords = [to_px(v) for v in ccw_order(p.vertices)]
     body = " L ".join(f"{x} {y}" for x, y in coords)
     return f"M {body} Z"
 

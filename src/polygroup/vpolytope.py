@@ -8,17 +8,16 @@ Minkowski sums of representatives, never through the raw parts.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from math import gcd
 from typing import Optional
 
 from . import exactlp
 from .intlinalg import solve_diophantine
 from .lattice import (
-    AffineLatticeMap,
     GeometryError,
     IntegralPolytope,
+    ccw_key,
+    ccw_order,
     dot,
     face,
     facet_description,
@@ -26,10 +25,8 @@ from .lattice import (
     minkowski_sum,
     polytope_coords,
     primitive,
-    pushforward,
     reflect,
     seminorm,
-    subset,
     support,
 )
 
@@ -373,25 +370,7 @@ def polygon_edges(p: IntegralPolytope) -> dict:
     if len(verts) == 2 or p.dim() == 1:
         a, d, l = _segment_data(p)
         return {d: l, tuple(-c for c in d): l}
-    # order vertices counterclockwise around the centroid (exact: use angles
-    # via atan2-free sorting by half-plane + cross product)
-    cx = sum(v[0] for v in verts)
-    cy = sum(v[1] for v in verts)
-    m = len(verts)
-
-    import functools
-
-    def cmp(u, v):
-        ux, uy = u[0] * m - cx, u[1] * m - cy
-        vx, vy = v[0] * m - cx, v[1] * m - cy
-        hu = 0 if (uy > 0 or (uy == 0 and ux > 0)) else 1
-        hv = 0 if (vy > 0 or (vy == 0 and vx > 0)) else 1
-        if hu != hv:
-            return hu - hv
-        cr = ux * vy - uy * vx
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-    ordered = sorted(verts, key=functools.cmp_to_key(cmp))
+    ordered = ccw_order(verts)
     edges = {}
     for i in range(len(ordered)):
         a = ordered[i]
@@ -409,17 +388,7 @@ def polygon_from_edges(edges: dict, rank: int = 2) -> IntegralPolytope:
     if not items:
         return origin_polytope(rank)
 
-    import functools
-
-    def cmp(u, v):
-        hu = 0 if (u[1] > 0 or (u[1] == 0 and u[0] > 0)) else 1
-        hv = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-        if hu != hv:
-            return hu - hv
-        cr = u[0] * v[1] - u[1] * v[0]
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-    items.sort(key=functools.cmp_to_key(lambda a, b: cmp(a[0], b[0])))
+    items.sort(key=lambda item: ccw_key(item[0]))
     pts = [(0, 0)]
     for d, l in items:
         last = pts[-1]
@@ -567,26 +536,3 @@ def in_relative_monoid(x: VirtualPolytope, g: SubLattice, bound: int,
             if s is not None:
                 return RelativeMonoidResult("yes", p_witness=s, q_witness=q)
     return RelativeMonoidResult("no_within_bound")
-
-
-# ---------------------------------------------------------------------------
-# Random instance generators (fixed-seed, part of the public test API)
-# ---------------------------------------------------------------------------
-
-def random_polytope(rng: random.Random, rank: int, npoints: int = 5,
-                    box: int = 4) -> IntegralPolytope:
-    pts = [tuple(rng.randint(-box, box) for _ in range(rank)) for _ in range(npoints)]
-    return hull(pts)
-
-
-def random_virtual(rng: random.Random, rank: int, npoints: int = 5,
-                   box: int = 4) -> VirtualPolytope:
-    return VirtualPolytope(random_polytope(rng, rank, npoints, box),
-                           random_polytope(rng, rank, npoints, box))
-
-
-def random_genuine_pair(rng: random.Random, rank: int = 2):
-    """(x, S) with x = (Q+S) - Q built from its own answer."""
-    q = random_polytope(rng, rank, rng.randint(2, 5), 3)
-    s = random_polytope(rng, rank, rng.randint(2, 5), 3)
-    return VirtualPolytope(minkowski_sum(q, s), q), s

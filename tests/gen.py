@@ -7,7 +7,9 @@ from fractions import Fraction
 from itertools import permutations
 
 from polygroup.grouprings import GroupRingElement, TwistedGroup, gr_mul
+from polygroup.lattice import IntegralPolytope, hull, minkowski_sum
 from polygroup.torsion import BasedChainComplex
+from polygroup.vpolytope import VirtualPolytope
 
 HEISENBERG = [[1, 1], [0, 1]]
 SOL = [[2, 1], [1, 1]]
@@ -140,3 +142,22 @@ def random_acyclic_complex(g: TwistedGroup, rng: random.Random,
         for rr in range(n):
             d1[rr][j] = d1[rr][j] - gr_mul(d1[rr][i], w, g)
     return BasedChainComplex.make(g, (n, mid, m), (d1, d2))
+
+
+def random_polytope(rng: random.Random, rank: int, npoints: int = 5,
+                    box: int = 4) -> IntegralPolytope:
+    pts = [tuple(rng.randint(-box, box) for _ in range(rank)) for _ in range(npoints)]
+    return hull(pts)
+
+
+def random_virtual(rng: random.Random, rank: int, npoints: int = 5,
+                   box: int = 4) -> VirtualPolytope:
+    return VirtualPolytope(random_polytope(rng, rank, npoints, box),
+                           random_polytope(rng, rank, npoints, box))
+
+
+def random_genuine_pair(rng: random.Random, rank: int = 2):
+    """(x, S) with x = (Q+S) - Q built from its own answer."""
+    q = random_polytope(rng, rank, rng.randint(2, 5), 3)
+    s = random_polytope(rng, rank, rng.randint(2, 5), 3)
+    return VirtualPolytope(minkowski_sum(q, s), q), s

@@ -14,7 +14,10 @@ from gen import (
     commutative_det,
     invertible_product,
     random_acyclic_complex,
+    random_genuine_pair,
     random_matrix,
+    random_polytope,
+    random_virtual,
 )
 from polygroup.grouprings import TwistedGroup, element_polytope, h1_rank
 from polygroup.lattice import facet_normals, hull, minkowski_sum, reflect
@@ -35,9 +38,6 @@ from polygroup.vpolytope import (
     is_polytope_certified,
     pt_equal,
     pt_is_zero,
-    random_genuine_pair,
-    random_polytope,
-    random_virtual,
     seminorm_map,
     summand_rank2,
     vp_add,

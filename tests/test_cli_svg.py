@@ -234,6 +234,14 @@ def test_svg_hexagon():
     assert path.count("L") == 5  # six boundary vertices
 
 
+def test_svg_hexagon_path_order():
+    square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    diag = hull([(0, 0), (1, 1)])
+    svg = render_svg(cls_of(minkowski_sum(square, diag)))
+    # counterclockwise around the centroid, from the first vertex at angle >= 0
+    assert '<path d="M 120 80 L 120 40 L 80 40 L 40 80 L 40 120 L 80 120 Z"' in svg
+
+
 def test_svg_byte_stable_and_translation_canonical():
     p = hull([(0, 0), (2, 1), (1, 3)])
     a = render_svg(cls_of(p))

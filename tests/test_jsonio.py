@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from gen import HEISENBERG, rand_element, random_acyclic_complex
+from gen import HEISENBERG, rand_element, random_acyclic_complex, random_polytope
 from polygroup import jsonio
 from polygroup.grouprings import TwistedGroup
 from polygroup.lattice import hull
 from polygroup.torsion import circle_complex, mapping_torus_complex
-from polygroup.vpolytope import VirtualPolytope, random_polytope, vp_equal
+from polygroup.vpolytope import VirtualPolytope, vp_equal
 
 
 def test_polytope_roundtrip_and_canonicalization():

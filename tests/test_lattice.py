@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +10,7 @@ from polygroup.lattice import (
     AffineLatticeMap,
     GeometryError,
     IntegralPolytope,
+    dot,
     face,
     facet_description,
     facet_normals,
@@ -255,3 +258,97 @@ def test_cancellativity():
         r = hull([tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(4)])
         if minkowski_sum(p, r) == minkowski_sum(q, r):
             assert p == q
+
+
+def _det(m):
+    """Laplace expansion, so that the facet oracle shares no package code."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _affine_rank(pts):
+    """Dimension of the affine hull, by Gaussian elimination over Q."""
+    rows = [[Fraction(a - b) for a, b in zip(p, pts[0])] for p in pts[1:]]
+    rank = 0
+    for col in range(len(pts[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _brute_force_facets(vertices):
+    """Facets of a full-dimensional polytope in Z^d by trying every d-subset.
+
+    The cofactor normal of a d-subset of vertices spans a hyperplane; it
+    supports a facet when all vertices lie on one side. Returns the sorted
+    (primitive outer normal, constant) pairs. O(V^(d+1)): an oracle only.
+    """
+    d = len(vertices[0])
+    found = set()
+    for combo in itertools.combinations(vertices, d):
+        rows = [[a - b for a, b in zip(v, combo[0])] for v in combo[1:]]
+        normal = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(d)]
+        g = math.gcd(*normal)
+        if g == 0:
+            continue
+        normal = tuple(x // g for x in normal)
+        c = sum(a * b for a, b in zip(normal, combo[0]))
+        vals = [sum(a * b for a, b in zip(normal, v)) for v in vertices]
+        if max(vals) == c:
+            found.add((normal, c))
+        elif min(vals) == c:
+            found.add((tuple(-x for x in normal), -c))
+    return sorted(found)
+
+
+def _check_against_facet_oracle(p):
+    """facet_description(p) equals the brute-force facets when P is
+    full-dimensional. Otherwise the equalities cut out aff(P) and the
+    inequalities are tight exactly on the facets the oracle finds in a
+    coordinate projection that is injective on aff(P)."""
+    verts = list(p.vertices)
+    n, d = p.rank, _affine_rank(verts)
+    eqs, ineqs = facet_description(p)
+    if d == n:
+        assert (eqs, ineqs) == ([], _brute_force_facets(verts))
+        return
+    assert len(eqs) == n - d == _affine_rank([(0,) * n] + [phi for phi, _ in eqs])
+    for phi, c in eqs + ineqs:
+        assert all(dot(phi, v) <= c for v in verts)
+    assert all(dot(phi, v) == c for phi, c in eqs for v in verts)
+    cols = next(cols for cols in itertools.combinations(range(n), d)
+                if _affine_rank([tuple(v[i] for i in cols) for v in verts]) == d)
+    proj = [tuple(v[i] for i in cols) for v in verts]
+    expected = sorted(sorted(v for v, w in zip(verts, proj) if dot(psi, w) == c)
+                      for psi, c in _brute_force_facets(proj))
+    got = sorted(sorted(v for v in verts if dot(phi, v) == c) for phi, c in ineqs)
+    assert got == expected
+
+
+def test_facet_description_against_subset_enumeration_oracle():
+    rng = random.Random(37)
+    sets = [[(a,), (b,)] for a, b in [(0, 1), (-3, 4), (2, -7)]]
+    for rank, npoints, box in [(2, 8, 5), (3, 10, 4), (4, 12, 3)]:
+        for _ in range(12):
+            sets.append([tuple(rng.randint(-box, box) for _ in range(rank))
+                         for _ in range(npoints)])
+    sets += [
+        list(itertools.product((0, 1), repeat=3)),
+        list(itertools.product((0, 1, 2), repeat=4)),
+        [tuple(s if j == i else 0 for j in range(4)) for i in range(4) for s in (1, -1)],
+        [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],
+        _affine_sample(rng, (1, -1, 0, 2), [(1, 2, 0, -1), (0, 1, 1, 1)], 20),
+        _affine_sample(rng, (0, 2, -1, 1), [(1, 0, 1, 0), (0, 1, -1, 2), (1, 1, 0, -1)], 25),
+        _affine_sample(rng, (3, 0, 1), [(2, -1, 1)], 6),
+    ]
+    for pts in sets:
+        _check_against_facet_oracle(hull(pts))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gen import random_genuine_pair, random_polytope, random_virtual
 from polygroup.lattice import hull, minkowski_sum, reflect
 from polygroup.vpolytope import (
     DecompositionError,
@@ -18,9 +19,6 @@ from polygroup.vpolytope import (
     leq,
     pt_equal,
     pt_is_zero,
-    random_genuine_pair,
-    random_polytope,
-    random_virtual,
     seminorm_map,
     summand_rank2,
     vp_add,
