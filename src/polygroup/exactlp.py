@@ -1,164 +1,189 @@
-"""Exact rational linear programming (dense simplex, Bland's rule).
+"""Exact linear programming on a fraction-free integer tableau.
 
-Used to bound the feasible translation region in
-``vpolytope.find_translation_into``. ``point_in_hull`` is kept as the
-independent vertex oracle that the tests check ``lattice.hull``
-against; no hull computation solves an LP. Sizes here are small, so a
-plain tableau with Fractions is both simple and fast enough.
+One simplex kernel serves two callers. ``optimize_free`` bounds the
+feasible translation region in ``vpolytope.find_translation_into``: it
+runs one phase 1 and then minimizes each objective in turn, warm from
+the previous optimal basis. ``point_in_hull`` is the independent vertex
+oracle that the tests check ``lattice.hull`` against; no hull
+computation solves an LP.
+
+The tableau is condensed (one column per nonbasic variable) and held in
+integers over one common positive denominator, the determinant of the
+current basis. A pivot is one integer update with an exact division by
+the old denominator (integer pivoting: Edmonds 1967; Bareiss 1968;
+Azulay and Pique, ACM TOMS 27, 2001), so no Fraction is formed until an
+optimal value is read off. Bland's rule chooses the entering and the
+leaving variable, so degenerate problems cannot cycle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
+
+class UnboundedError(ValueError):
+    """The objective is unbounded below on a non-empty region."""
 
 
-def _pivot(tab, basis, row, col):
-    pr = tab[row]
-    pv = pr[col]
-    tab[row] = [x / pv for x in pr]
-    for i, r in enumerate(tab):
-        if i != row and r[col] != 0:
-            f = r[col]
-            tab[i] = [x - f * y for x, y in zip(r, tab[row])]
-    basis[row] = col
+def _eliminate(row, pr, q, c, den):
+    """Row `row` after a pivot on entry q of row `pr`, column c."""
+    f = row[c]
+    if f:
+        out = [(x * q - f * y) // den for x, y in zip(row, pr)]
+    elif q == den:
+        return row
+    else:
+        out = [x * q // den for x in row]
+    out[c] = -f
+    return out
 
 
-def _simplex_core(tab, basis, ncols):
-    """Minimize the objective in tab[-1] (reduced costs). Bland's rule."""
-    while True:
-        obj = tab[-1]
-        col = next((j for j in range(ncols) if obj[j] < 0), None)
-        if col is None:
-            return OPTIMAL
-        best_row = None
-        best_ratio = None
-        for i in range(len(tab) - 1):
-            if tab[i][col] > 0:
-                ratio = tab[i][-1] / tab[i][col]
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[best_row])):
-                    best_ratio = ratio
-                    best_row = i
-        if best_row is None:
-            return UNBOUNDED
-        _pivot(tab, basis, best_row, col)
+class _Tableau:
+    """Rows x_B[i] + sum_j rows[i][j] x_N[j] / den = rows[i][-1] / den.
 
-
-def simplex_min(c, a_eq, b_eq):
-    """min c.x  s.t.  A x = b, x >= 0.
-
-    Returns (status, value, x). value and x are None unless status is
-    OPTIMAL.
+    `basic` labels the rows and `nonbasic` the columns with variable
+    indices, which Bland's rule orders. `obj` is the objective row in the
+    same form, with -den times the objective value in its last entry.
+    Every division is exact because each entry is a minor of the integer
+    constraints [B | N | b] the tableau started from with B = I.
     """
-    m = len(a_eq)
-    n = len(a_eq[0]) if m else len(c)
-    a = [[Fraction(x) for x in row] for row in a_eq]
-    b = [Fraction(x) for x in b_eq]
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
 
-    # phase 1: artificial variables
-    tab = []
-    for i in range(m):
-        tab.append(a[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]])
-    obj = [Fraction(0)] * (n + m + 1)
-    for i in range(m):
-        for j in range(n + m + 1):
-            obj[j] -= tab[i][j]
-    for i in range(m):
-        obj[n + i] = Fraction(0)
-    tab.append(obj)
-    basis = [n + i for i in range(m)]
-    _simplex_core(tab, basis, n + m)
-    if tab[-1][-1] < 0:
-        return INFEASIBLE, None, None
+    def __init__(self, rows, basic, nonbasic):
+        self.rows = rows
+        self.basic = basic
+        self.nonbasic = nonbasic
+        self.den = 1
+        self.obj = None
 
-    # drive remaining artificials out of the basis
-    for i in range(m):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if tab[i][j] != 0), None)
-            if col is not None:
-                _pivot(tab, basis, i, col)
-    keep_rows = [i for i in range(m) if basis[i] < n]
-    tab = [[tab[i][j] for j in range(n)] + [tab[i][-1]] for i in keep_rows]
-    basis = [basis[i] for i in keep_rows]
+    def pivot(self, r, c):
+        """Exchange the basic variable of row r with the nonbasic one of
+        column c."""
+        den, pr = self.den, self.rows[r]
+        q = pr[c]
+        self.rows = [row if i == r else _eliminate(row, pr, q, c, den)
+                     for i, row in enumerate(self.rows)]
+        if self.obj is not None:
+            self.obj = _eliminate(self.obj, pr, q, c, den)
+        pr[c] = den
+        self.basic[r], self.nonbasic[c] = self.nonbasic[c], self.basic[r]
+        self.den = q
+        if q < 0:
+            # keep the denominator positive; only phase 1's clean-up
+            # pivots on a negative entry
+            self.rows = [[-x for x in row] for row in self.rows]
+            if self.obj is not None:
+                self.obj = [-x for x in self.obj]
+            self.den = -q
 
-    # phase 2
-    cf = [Fraction(x) for x in c] + [Fraction(0)]
-    obj = list(cf)
-    for i, bi in enumerate(basis):
-        if obj[bi] != 0:
-            f = obj[bi]
-            obj = [x - f * y for x, y in zip(obj, tab[i])]
-    tab.append(obj)
-    status = _simplex_core(tab, basis, n)
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, None
-    x = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        x[bi] = tab[i][-1]
-    value = sum(f * xi for f, xi in zip(cf[:-1], x))
-    return OPTIMAL, value, x
+    def minimize(self, cost):
+        """Minimize sum cost[v] x_v from the current feasible basis.
+
+        `cost` is indexed by variable. Returns the exact optimal value.
+        """
+        basic, nonbasic = self.basic, self.nonbasic
+        obj = [self.den * cost[v] for v in nonbasic] + [0]
+        for row, v in zip(self.rows, basic):
+            cv = cost[v]
+            if cv:
+                obj = [o - cv * x for o, x in zip(obj, row)]
+        self.obj = obj
+        while True:
+            obj = self.obj
+            entering = [j for j in range(len(nonbasic)) if obj[j] < 0]
+            if not entering:
+                return Fraction(-obj[-1], self.den)
+            c = min(entering, key=nonbasic.__getitem__)
+            best = None
+            for i, row in enumerate(self.rows):
+                a = row[c]
+                if a > 0:
+                    if best is None:
+                        best, ba, bb = i, a, row[-1]
+                        continue
+                    lhs, rhs = row[-1] * ba, bb * a
+                    if lhs < rhs or (lhs == rhs and basic[i] < basic[best]):
+                        best, ba, bb = i, a, row[-1]
+            if best is None:
+                raise UnboundedError("objective is unbounded below")
+            self.pivot(best, c)
+
+    def phase1(self, first_artificial):
+        """Drive the variables from `first_artificial` on to zero.
+
+        Returns False when that is impossible, that is, when the region
+        is empty. Otherwise it pivots the artificial variables out of
+        the basis, drops the rows that turn out redundant and the
+        artificial columns, and returns True.
+        """
+        # each row has at most one artificial variable
+        cost = [0] * first_artificial + [1] * len(self.rows)
+        if self.minimize(cost) > 0:
+            return False
+        self.obj = None
+        r = 0
+        while r < len(self.rows):
+            if self.basic[r] >= first_artificial:
+                row = self.rows[r]
+                c = next((j for j, v in enumerate(self.nonbasic)
+                          if v < first_artificial and row[j]), None)
+                if c is None:
+                    del self.rows[r], self.basic[r]
+                    continue
+                self.pivot(r, c)
+            r += 1
+        keep = [j for j, v in enumerate(self.nonbasic) if v < first_artificial]
+        self.rows = [[row[j] for j in keep] + [row[-1]] for row in self.rows]
+        self.nonbasic = [self.nonbasic[j] for j in keep]
+        return True
 
 
-def feasible_nonneg(a_eq, b_eq) -> bool:
-    """Is {x >= 0 : A x = b} non-empty?"""
-    n = len(a_eq[0]) if a_eq else 0
-    status, _, _ = simplex_min([0] * n, a_eq, b_eq)
-    return status == OPTIMAL
+def optimize_free(objectives, a_ub, b_ub):
+    """Minimize each objective c.t over {t free : A_ub t <= b_ub}, in turn.
+
+    The data are integers. Returns the list of exact optimal values, one
+    Fraction per objective, or None when the region is empty. Raises
+    UnboundedError when an objective is unbounded below. Phase 1 runs
+    once, with an artificial variable only on the rows whose right-hand
+    side is negative; every other row starts from its slack. Each
+    objective re-optimizes from the previous optimal basis.
+    """
+    m = len(a_ub)
+    p = len(a_ub[0]) if m else (len(objectives[0]) if objectives else 0)
+    # variables: t = t+ - t- as 0..p-1 and p..2p-1, the slack of row i as
+    # 2p + i, and the artificials after those
+    negative = [i for i in range(m) if b_ub[i] < 0]
+    rows = [list(a) + [-x for x in a] + [0] * len(negative) + [b]
+            for a, b in zip(a_ub, b_ub)]
+    basic = [2 * p + i for i in range(m)]
+    # a row with b < 0 becomes -a t+ + a t- - s + artificial = -b, with
+    # the artificial basic and the slack s in a nonbasic column
+    for col, i in enumerate(negative):
+        rows[i] = [-x for x in rows[i]]
+        rows[i][2 * p + col] = -1
+        basic[i] = 2 * p + m + col
+    tab = _Tableau(rows, basic, list(range(2 * p)) + [2 * p + i for i in negative])
+    if negative and not tab.phase1(2 * p + m):
+        return None
+    values = []
+    for c in objectives:
+        cost = list(c) + [-x for x in c] + [0] * m
+        values.append(tab.minimize(cost))
+    return values
 
 
 def point_in_hull(point, points) -> bool:
-    """Exact test: is `point` in the convex hull of `points`?"""
+    """Exact test: is `point` in the convex hull of `points`?
+
+    It asks phase 1 whether some lambda >= 0 has sum(lambda) = 1 and
+    sum(lambda_k points[k]) = point.
+    """
     pts = list(points)
     if not pts:
         return False
-    n = len(point)
-    a = [[1] * len(pts)]
-    b = [1]
-    for coord in range(n):
-        a.append([p[coord] for p in pts])
-        b.append(point[coord])
-    return feasible_nonneg(a, b)
-
-
-def optimize_free(c, a_ub, b_ub, a_eq=(), b_eq=(), maximize=False):
-    """Optimize c.t over {t free : A_ub t <= b_ub, A_eq t = b_eq}.
-
-    Returns (status, value, t) with t rational. Free variables are split
-    into differences of nonnegative variables.
-    """
-    nv = len(c)
-    rows = []
-    rhs = []
-    nslack = len(a_ub)
-    for idx, (row, bv) in enumerate(zip(a_ub, b_ub)):
-        r = []
-        for j in range(nv):
-            r.extend([row[j], -row[j]])
-        r.extend([1 if s == idx else 0 for s in range(nslack)])
-        rows.append(r)
-        rhs.append(bv)
-    for row, bv in zip(a_eq, b_eq):
-        r = []
-        for j in range(nv):
-            r.extend([row[j], -row[j]])
-        r.extend([0] * nslack)
-        rows.append(r)
-        rhs.append(bv)
-    cc = []
-    for j in range(nv):
-        cj = -c[j] if maximize else c[j]
-        cc.extend([cj, -cj])
-    cc.extend([0] * nslack)
-    status, value, x = simplex_min(cc, rows, rhs)
-    if status != OPTIMAL:
-        return status, None, None
-    t = [x[2 * j] - x[2 * j + 1] for j in range(nv)]
-    return OPTIMAL, (-value if maximize else value), t
+    n = len(pts)
+    rows = [[1] * n + [1]]
+    for coord, target in enumerate(point):
+        row = [p[coord] for p in pts] + [target]
+        rows.append(row if target >= 0 else [-x for x in row])
+    tab = _Tableau(rows, list(range(n, n + len(rows))), list(range(n)))
+    return tab.phase1(n)

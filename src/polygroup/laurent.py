@@ -281,7 +281,17 @@ class RationalFunction:
         return (self.num * other.den) == (other.num * self.den)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # (num, den) is reduced by a gcd only past GCD_TERM_THRESHOLD
+        # terms, so hash what a common factor g leaves alone: lex is a
+        # monomial order, so the lex-leading term of num * g over that of
+        # den * g is the same for every g, and likewise the trailing term
+        if self.num.is_zero:
+            return hash((self.nvars, 0))
+        out = []
+        for k in (0, -1):
+            (en, cn), (ed, cd) = self.num.terms[k], self.den.terms[k]
+            out += [tuple(a - b for a, b in zip(en, ed)), cn / cd]
+        return hash(tuple(out))
 
     def nterms(self) -> int:
         return self.num.nterms() + self.den.nterms()

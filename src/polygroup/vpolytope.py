@@ -8,6 +8,7 @@ Minkowski sums of representatives, never through the raw parts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -185,17 +186,16 @@ def find_translation_into(a: IntegralPolytope, b: IntegralPolytope):
     for row, c in zip(ub_rows, ub_rhs):
         f_rows.append([dot(row, [basis[j][i] for i in range(n)]) for j in range(p)])
         f_rhs.append(c - dot(row, t0))
-    bounds = []
+    # bound each s_j by minimizing s_j and -s_j
+    objectives = []
     for j in range(p):
-        cvec = [1 if i == j else 0 for i in range(p)]
-        st, lo, _ = exactlp.optimize_free(cvec, f_rows, f_rhs)
-        if st != exactlp.OPTIMAL:
-            return None
-        st, hi, _ = exactlp.optimize_free(cvec, f_rows, f_rhs, maximize=True)
-        if st != exactlp.OPTIMAL:
-            return None
-        import math
-        bounds.append(range(math.ceil(lo), math.floor(hi) + 1))
+        e = [int(i == j) for i in range(p)]
+        objectives += [e, [-x for x in e]]
+    values = exactlp.optimize_free(objectives, f_rows, f_rhs)
+    if values is None:
+        return None
+    bounds = [range(math.ceil(values[2 * j]), math.floor(-values[2 * j + 1]) + 1)
+              for j in range(p)]
     for s in itertools.product(*bounds):
         if all(dot(r, s) <= c for r, c in zip(f_rows, f_rhs)):
             return tuple(x0 + sum(basis[j][i] * s[j] for j in range(p)) for i, x0 in enumerate(t0))

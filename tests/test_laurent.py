@@ -126,3 +126,21 @@ def test_rational_function_cancellation():
     big = x1 * x1 * x2 * x2 * x2
     f = RationalFunction.make(big * x1, big)
     assert f == RationalFunction.from_poly(x1)
+
+
+def test_equal_rational_functions_hash_alike():
+    # below GCD_TERM_THRESHOLD terms `make` keeps a common factor
+    xm1 = LaurentPoly.from_dict(2, {(1, 0): 1, (0, 0): -1})  # x - 1
+    one = RationalFunction.const(2, 1)
+    f = RationalFunction.make(xm1, xm1)
+    assert f == one
+    assert len({f, one}) == 1
+    rng = random.Random(17)
+    for _ in range(40):
+        a = rand_rf(rng)
+        g = rand_poly(rng)
+        if g.is_zero:
+            continue
+        b = RationalFunction.make(a.num * g, a.den * g)
+        assert a == b
+        assert hash(a) == hash(b)

@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from gen import random_genuine_pair, random_polytope, random_virtual
-from polygroup.lattice import hull, minkowski_sum, reflect
+from polygroup.lattice import hull, minkowski_sum, reflect, subset
 from polygroup.vpolytope import (
     DecompositionError,
     RelativeMonoidResult,
@@ -136,6 +137,65 @@ def test_leq_transitive():
         y = vp_add(x, vp(a))
         z = vp_add(y, vp(b))
         assert leq(x, y) and leq(y, z) and leq(x, z)
+
+
+def _leq_by_search(x, y):
+    """x <= y by trying every integral t in the bounding-box range
+    [min b - min a, max b - max a], with containment by lattice.subset."""
+    a = minkowski_sum(x.pos, y.neg)
+    b = minkowski_sum(y.pos, x.neg)
+    ranges = [range(min(v[i] for v in b.vertices) - min(v[i] for v in a.vertices),
+                    max(v[i] for v in b.vertices) - max(v[i] for v in a.vertices) + 1)
+              for i in range(a.rank)]
+    return any(subset(a.translate(t), b) for t in itertools.product(*ranges))
+
+
+def test_leq_matches_translation_search_rank3_and_rank4():
+    rng = random.Random(15)
+    outcomes = set()
+    for rank in (3, 4):
+        for _ in range(8):
+            x = random_virtual(rng, rank, npoints=4, box=2)
+            if rng.random() < 0.5:
+                y = vp_add(x, vp(random_polytope(rng, rank, 3, 1)))
+            else:
+                y = random_virtual(rng, rank, npoints=4, box=2)
+            for u, v in ((x, y), (y, x)):
+                want = _leq_by_search(u, v)
+                assert leq(u, v) == want
+                outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_leq_lower_dimensional_matches_translation_search():
+    # b spans a proper affine sublattice, so find_translation_into solves
+    # the equalities of its affine hull with solve_diophantine first
+    rng = random.Random(16)
+    outcomes = set()
+    for _ in range(30):
+        rank = rng.choice((3, 4))
+        k = rng.randint(0, rank - 1)
+        gens = [[rng.randint(-1, 1) for _ in range(rank)] for _ in range(k)]
+
+        def sample(count, spread):
+            out = []
+            for _ in range(count):
+                c = [rng.randint(-spread, spread) for _ in gens]
+                out.append(tuple(sum(ci * g[i] for ci, g in zip(c, gens))
+                                 for i in range(rank)))
+            return out
+
+        base = tuple(rng.randint(-2, 2) for _ in range(rank))
+        b = hull([tuple(p + q for p, q in zip(pt, base)) for pt in sample(5, 2)])
+        a_pts = sample(rng.randint(1, 3), 1)
+        if rng.random() < 0.3:
+            # leave the direction space of b
+            a_pts.append(tuple(rng.randint(-1, 1) for _ in range(rank)))
+        x, y = vp(hull(a_pts)), vp(b)
+        want = _leq_by_search(x, y)
+        assert leq(x, y) == want
+        outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_face_map_basics():

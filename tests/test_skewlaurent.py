@@ -14,6 +14,7 @@ from polygroup.grouprings import (
     element_polytope,
     gr_mul,
 )
+from polygroup.laurent import LaurentPoly, RationalFunction
 from polygroup.skewlaurent import (
     SkewLaurentPoly,
     dieudonne_det,
@@ -156,3 +157,12 @@ def test_rank_matches_commutative_oracle_untwisted():
             [[sum(sympy.Rational(str(c)) * x**v[0] * y**v[1] * u**e
                   for (v, e), c in a.terms) for a in row] for row in mat])
         assert rank_over_skew_field(mat, g) == sm.rank()
+
+
+def test_equal_skew_polys_hash_alike():
+    g = TwistedGroup.make(2, HEISENBERG)
+    xm1 = LaurentPoly.from_dict(2, {(1, 0): 1, (0, 0): -1})  # x - 1
+    a = SkewLaurentPoly.from_dict(g, {1: RationalFunction.make(xm1, xm1)})
+    b = SkewLaurentPoly.from_dict(g, {1: RationalFunction.const(2, 1)})
+    assert a == b
+    assert len({a, b}) == 1
