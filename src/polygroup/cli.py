@@ -69,10 +69,13 @@ def _read_document(args):
     return doc
 
 
-def _covector(doc):
+def _covector(doc, rank: int):
     if "covector" not in doc:
         raise JsonInputError("missing covector")
-    return tuple(jsonio._int_list(doc["covector"], "covector"))
+    cov = tuple(jsonio._int_list(doc["covector"], "covector"))
+    if len(cov) != rank:
+        raise JsonInputError(f"covector has length {len(cov)}, expected rank {rank}")
+    return cov
 
 
 def _virtual_of(doc):
@@ -119,25 +122,23 @@ def _vp_from(p):
 
 
 def _cmd_polytope_face(args, doc):
-    cov = _covector(doc)
     x = _virtual_of(doc)
     if x is not None:
-        out = face_map(x, cov)
+        out = face_map(x, _covector(doc, x.rank))
         return {"virtual": jsonio.encode_virtual(out)}, None
     if "polytope" in doc:
         p = jsonio.decode_polytope(doc["polytope"])
-        return {"polytope": jsonio.encode_polytope(face(p, cov))}, None
+        return {"polytope": jsonio.encode_polytope(face(p, _covector(doc, p.rank)))}, None
     raise JsonInputError("polytope-face needs a polytope or a virtual polytope")
 
 
 def _cmd_polytope_norm(args, doc):
-    cov = _covector(doc)
     x = _virtual_of(doc)
     if x is not None:
-        return {"value": jsonio.encode_int(seminorm_map(x, cov))}, None
+        return {"value": jsonio.encode_int(seminorm_map(x, _covector(doc, x.rank)))}, None
     if "polytope" in doc:
         p = jsonio.decode_polytope(doc["polytope"])
-        return {"value": jsonio.encode_int(seminorm(p, cov))}, None
+        return {"value": jsonio.encode_int(seminorm(p, _covector(doc, p.rank)))}, None
     raise JsonInputError("polytope-norm needs a polytope or a virtual polytope")
 
 

@@ -23,9 +23,9 @@ from fractions import Fraction
 
 from .intlinalg import (
     SmithDecomposition,
-    adjugate_inverse_unimodular,
     identity_matrix,
     int_det,
+    inverse_unimodular,
     mat_mul,
     mat_vec,
     snf,
@@ -71,7 +71,7 @@ class TwistedGroup:
             return self._power_cache[m]
         base = [list(r) for r in self.twist]
         if m < 0:
-            base = adjugate_inverse_unimodular(base)
+            base = inverse_unimodular(base)
         result = identity_matrix(self.k)
         e = abs(m)
         while e:
@@ -178,9 +178,6 @@ class GroupRingElement:
     def support(self) -> list[tuple[int, ...]]:
         """Exponent vectors (v, m) in Z^{k+1}."""
         return [v + (m,) for (v, m), _ in self.terms]
-
-    def u_degrees(self):
-        return sorted({m for (_, m), _ in self.terms})
 
 
 def gr_mul(a: GroupRingElement, b: GroupRingElement, g: TwistedGroup) -> GroupRingElement:

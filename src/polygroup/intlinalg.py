@@ -30,10 +30,6 @@ def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def mat_det(a) -> Fraction:
     """Determinant by fraction-free-ish Gaussian elimination, exact."""
     n = len(a)
@@ -79,34 +75,6 @@ def int_det(a) -> int:
                 row[j] = (row[j] * pk - f * m[k][j]) // prev
         prev = pk
     return sign * m[n - 1][n - 1]
-
-
-def adjugate_inverse_unimodular(a: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix, again integral."""
-    n = len(a)
-    d = int_det(a)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    aug = [[Fraction(a[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pc = aug[col][col]
-        aug[col] = [x / pc for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            assert x.denominator == 1
-            irow.append(x.numerator)
-        out.append(irow)
-    return out
 
 
 @dataclass(frozen=True)
@@ -224,14 +192,19 @@ def int_kernel(m) -> list[list[int]]:
     return basis
 
 
-def saturation_basis(vectors: list[list[int]], rank: int) -> list[list[int]]:
-    """Basis of (span(vectors) over Q) intersected with Z^rank."""
-    if not vectors:
-        return []
-    ker = int_kernel(vectors)  # covectors vanishing on all vectors
-    if not ker:
-        return identity_matrix(rank)
-    return int_kernel(ker)
+def inverse_unimodular(a: IntMatrix) -> IntMatrix:
+    """Inverse of a unimodular integer matrix, read off one Smith form.
+
+    U A V = I gives A^-1 = V U. Raises ValueError when A is not square
+    or an invariant factor is not 1.
+    """
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    dec = snf(a)
+    if any(x != 1 for x in dec.diagonal):
+        raise ValueError("matrix is not unimodular")
+    return mat_mul(dec.V, dec.U)
 
 
 def solve_diophantine(a, b):

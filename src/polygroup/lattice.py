@@ -12,14 +12,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .intlinalg import (
-    int_det,
-    int_kernel,
-    mat_vec,
-    saturation_basis,
-    snf,
-    solve_integer_exact,
-)
+from .intlinalg import identity_matrix, int_det, int_kernel, mat_vec, snf
 
 Point = tuple[int, ...]
 Covector = tuple[int, ...]
@@ -60,11 +53,7 @@ class IntegralPolytope:
         return self.vertices[0]
 
     def dim(self) -> int:
-        dirs = self.direction_vectors()
-        if not dirs:
-            return 0
-        dec = snf(dirs)
-        return sum(1 for d in dec.diagonal if d != 0)
+        return len(_affine_frame(self.vertices)[1])
 
     def direction_vectors(self) -> list[list[int]]:
         v0 = self.vertices[0]
@@ -113,6 +102,35 @@ class AffineLatticeMap:
     def identity(n: int) -> "AffineLatticeMap":
         return AffineLatticeMap(tuple(tuple(1 if i == j else 0 for j in range(n))
                                       for i in range(n)), (0,) * n)
+
+
+@dataclass(frozen=True)
+class AffineChart:
+    """Integral coordinates on the affine hull of a polytope in Z^n.
+
+    `kernel` holds the covectors vanishing on the direction lattice,
+    `basis` a saturated basis b_1..b_d of it, and `left` an n x d integer
+    matrix with basis^T left = I. So `coords` and `embed` are inverse
+    bijections between aff(P) ∩ Z^n and Z^d, and `pull(psi)` is a
+    covector phi on Z^n with phi(b_j) = psi_j.
+    """
+
+    origin: Point
+    kernel: tuple[Covector, ...]
+    basis: tuple[Point, ...]
+    left: tuple[tuple[int, ...], ...]
+
+    def coords(self, v) -> Point:
+        diff = [a - b for a, b in zip(v, self.origin)]
+        return tuple(sum(row[k] * x for row, x in zip(self.left, diff))
+                     for k in range(len(self.basis)))
+
+    def embed(self, z) -> Point:
+        return tuple(o + sum(b[i] * x for b, x in zip(self.basis, z))
+                     for i, o in enumerate(self.origin))
+
+    def pull(self, psi) -> Covector:
+        return tuple(dot(row, psi) for row in self.left)
 
 
 def _ccw_cmp(u, v) -> int:
@@ -388,13 +406,15 @@ def _cofactor_normal(rows):
     return primitive(normal)
 
 
-def _facets_fulldim(vertices, d):
+def fulldim_facets(vertices, d):
     """Facets of a full-dimensional polytope in Z^d given by its vertices.
 
-    Returns a sorted list of (primitive outer normal, constant): the
-    extremes for d = 1, the edges of the monotone chain for d = 2, and
-    the facets of the hull engine `_hull_fulldim` for d >= 3.
+    Returns a sorted list of (primitive outer normal, constant): none for
+    d = 0, the extremes for d = 1, the edges of the monotone chain for
+    d = 2, and the facets of the hull engine `_hull_fulldim` for d >= 3.
     """
+    if d == 0:
+        return []
     if d == 1:
         xs = [v[0] for v in vertices]
         return [((-1,), -min(xs)), ((1,), max(xs))]
@@ -408,45 +428,21 @@ def _facets_fulldim(vertices, d):
     return _hull_fulldim(vertices, _affine_frame(vertices)[0])[1]
 
 
-def _pullback_covector(basis_cols, psi):
-    """Covector phi on Z^n with phi . B = psi for a saturated basis B (n x d)."""
-    n = len(basis_cols)
-    d = len(basis_cols[0]) if basis_cols else 0
-    # Solve B^T phi^T = psi^T over the integers.
-    bt = [[basis_cols[i][j] for i in range(n)] for j in range(d)]
-    phi = solve_integer_exact(bt, list(psi))
-    if phi is None:
-        raise GeometryError("saturated basis pullback failed")
-    return tuple(phi)
-
-
 def facet_description(p: IntegralPolytope):
     """Exact H-description of a (possibly lower-dimensional) polytope.
 
     Returns (equalities, inequalities): lists of (covector, c) meaning
     phi(x) == c resp. phi(x) <= c, whose simultaneous solution set is
-    exactly P. The facets come from the hull engine, applied to P's
-    full-dimensional model `polytope_coords` when P is not
-    full-dimensional.
+    exactly P. The equalities are the chart's kernel; the inequalities
+    are the facets of the full-dimensional model `polytope_coords`,
+    pulled back through the chart.
     """
-    n = p.rank
-    v0 = p.vertices[0]
-    if n == 0:
-        return [], []
-    dirs = p.direction_vectors()
-    if not dirs:
-        eqs = [(tuple(1 if j == i else 0 for j in range(n)), v0[i]) for i in range(n)]
-        return eqs, []
-    kernel = int_kernel(dirs)
-    equalities = [(tuple(k), dot(k, v0)) for k in kernel]
-    if not kernel:
-        return equalities, _facets_fulldim(p.vertices, n)
-    coords, basis, _ = polytope_coords(p)
-    basis_cols = [[b[i] for b in basis] for i in range(n)]  # n x d
+    coords, chart = polytope_coords(p)
+    equalities = [(k, dot(k, chart.origin)) for k in chart.kernel]
     ineqs = []
-    for psi, c in _facets_fulldim(coords.vertices, coords.rank):
-        phi = _pullback_covector(basis_cols, psi)
-        ineqs.append((phi, c + dot(phi, v0)))
+    for psi, c in fulldim_facets(coords.vertices, coords.rank):
+        phi = chart.pull(psi)
+        ineqs.append((phi, c + dot(phi, chart.origin)))
     return equalities, sorted(ineqs)
 
 
@@ -474,24 +470,23 @@ def subset(p: IntegralPolytope, q: IntegralPolytope) -> bool:
 
 
 def polytope_coords(p: IntegralPolytope):
-    """Full-dimensional model of P: (coords polytope in Z^d, basis, base point).
+    """Full-dimensional model of P: (coords polytope in Z^d, chart).
 
-    coords are taken relative to a saturated basis of P's direction
-    lattice, so hull(coords) is full-dimensional in Z^d. For a point,
+    The chart's basis is a saturated basis of P's direction lattice, so
+    the coords polytope is full-dimensional in Z^d. At most three Smith
+    forms make the chart, whatever the number of vertices. For a point,
     d = 0.
     """
     n = p.rank
-    v0 = p.vertices[0]
     dirs = p.direction_vectors()
-    if not dirs:
-        return IntegralPolytope(0, ((),)), [], v0
-    basis = saturation_basis(dirs, n)
+    kernel = int_kernel(dirs) if dirs else identity_matrix(n)
+    basis = int_kernel(kernel) if kernel else identity_matrix(n)
     d = len(basis)
-    bmat = [[basis[j][i] for j in range(d)] for i in range(n)]
-    coords = []
-    for v in p.vertices:
-        z = solve_integer_exact(bmat, [a - b for a, b in zip(v, v0)])
-        if z is None:
-            raise GeometryError("vertex outside saturated direction lattice")
-        coords.append(tuple(z))
-    return IntegralPolytope(d, tuple(sorted(coords))), basis, v0
+    # U basis^T V = [I 0], as every invariant factor of a saturated basis is 1
+    dec = snf(basis)
+    left = tuple(tuple(sum(dec.V[i][j] * dec.U[j][k] for j in range(d)) for k in range(d))
+                 for i in range(n))
+    chart = AffineChart(p.vertices[0], tuple(map(tuple, kernel)),
+                        tuple(map(tuple, basis)), left)
+    coords = tuple(sorted(chart.coords(v) for v in p.vertices))
+    return IntegralPolytope(d, coords), chart

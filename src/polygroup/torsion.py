@@ -73,6 +73,8 @@ class BasedChainComplex:
     def check(self):
         """Shape and d o d = 0 verification; returns (ok, message)."""
         g = self.group
+        if any(r < 0 for r in self.ranks):
+            return False, "ranks must be nonnegative"
         if len(self.boundaries) != max(len(self.ranks) - 1, 0):
             return False, "boundary count does not match rank count"
         for n in range(1, len(self.ranks)):

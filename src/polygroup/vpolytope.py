@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import exactlp
-from .intlinalg import solve_diophantine
 from .lattice import (
     GeometryError,
     IntegralPolytope,
@@ -22,6 +21,7 @@ from .lattice import (
     dot,
     face,
     facet_description,
+    fulldim_facets,
     hull,
     minkowski_sum,
     polytope_coords,
@@ -149,56 +149,34 @@ class TranslationClass:
 def find_translation_into(a: IntegralPolytope, b: IntegralPolytope):
     """An integral t with a + t contained in b, or None.
 
-    The feasible translations form the rational erosion of b by a; we
-    intersect it with the lattice by enumerating the integer points of
-    its bounding box.
+    The work is done in b's chart. a fits only if every kernel covector
+    is constant on a; then t = embed(s) - a_0 for s in Z^d, and the
+    feasible s form the rational erosion of b's coords polytope by a's.
+    We intersect it with the lattice by enumerating the integer points
+    of its bounding box.
     """
-    n = a.rank
-    eqs, ineqs = facet_description(b)
-    eq_rows, eq_rhs = [], []
-    for phi, c in eqs:
-        if seminorm(a, phi) != 0:
-            return None
-        eq_rows.append(list(phi))
-        eq_rhs.append(c - dot(phi, a.vertices[0]))
-    ub_rows, ub_rhs = [], []
-    for phi, c in ineqs:
-        ub_rows.append(list(phi))
-        ub_rhs.append(c - support(a, phi))
-
-    if eq_rows:
-        sol = solve_diophantine(eq_rows, eq_rhs)
-        if sol is None:
-            return None
-        t0, basis = sol
-    else:
-        t0, basis = [0] * n, [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    if not basis:
-        t = tuple(t0)
-        return t if all(dot(r, t) <= c for r, c in zip(ub_rows, ub_rhs)) else None
-    if not ub_rows:
-        return tuple(t0)
-
-    # rewrite inequalities in the free parameters s: t = t0 + N s
-    p = len(basis)
-    f_rows, f_rhs = [], []
-    for row, c in zip(ub_rows, ub_rhs):
-        f_rows.append([dot(row, [basis[j][i] for i in range(n)]) for j in range(p)])
-        f_rhs.append(c - dot(row, t0))
+    bc, chart = polytope_coords(b)
+    if any(seminorm(a, phi) for phi in chart.kernel):
+        return None
+    d, a0 = bc.rank, a.vertices[0]
+    rows, rhs = [], []
+    for psi, c in fulldim_facets(bc.vertices, d):
+        phi = chart.pull(psi)
+        rows.append(psi)
+        rhs.append(c - support(a, phi) + dot(phi, a0))
     # bound each s_j by minimizing s_j and -s_j
     objectives = []
-    for j in range(p):
-        e = [int(i == j) for i in range(p)]
+    for j in range(d):
+        e = [int(i == j) for i in range(d)]
         objectives += [e, [-x for x in e]]
-    values = exactlp.optimize_free(objectives, f_rows, f_rhs)
+    values = exactlp.optimize_free(objectives, rows, rhs)
     if values is None:
         return None
     bounds = [range(math.ceil(values[2 * j]), math.floor(-values[2 * j + 1]) + 1)
-              for j in range(p)]
+              for j in range(d)]
     for s in itertools.product(*bounds):
-        if all(dot(r, s) <= c for r, c in zip(f_rows, f_rhs)):
-            return tuple(x0 + sum(basis[j][i] * s[j] for j in range(p)) for i, x0 in enumerate(t0))
+        if all(dot(r, s) <= c for r, c in zip(rows, rhs)):
+            return tuple(x - y for x, y in zip(chart.embed(s), a0))
     return None
 
 
@@ -222,21 +200,6 @@ def seminorm_map(x: VirtualPolytope, cov) -> int:
 # ---------------------------------------------------------------------------
 # Detection of genuine polytopes (constructive face recursion)
 # ---------------------------------------------------------------------------
-
-def _direction_membership(q: IntegralPolytope, p: IntegralPolytope) -> bool:
-    """Do all edge directions of Q lie in the direction span of P?"""
-    dirs_p = p.direction_vectors()
-    dirs_q = q.direction_vectors()
-    if not dirs_q:
-        return True
-    if not dirs_p:
-        return False
-    from .intlinalg import int_kernel
-    for cov in int_kernel(dirs_p):
-        if any(dot(cov, d) != 0 for d in dirs_q):
-            return False
-    return True
-
 
 def _segment_data(p: IntegralPolytope):
     """(anchor, primitive direction, length) for a point or segment."""
@@ -270,31 +233,17 @@ def _solve_difference(p: IntegralPolytope, q: IntegralPolytope):
         cand = hull([base, tip])
         return cand if minkowski_sum(q, cand) == p else None
 
-    if not _direction_membership(q, p):
+    pc, chart = polytope_coords(p)
+    if any(seminorm(q, phi) for phi in chart.kernel):
         return None
-
-    pc, basis, pv0 = polytope_coords(p)
-    n, d = p.rank, pc.rank
-    bmat = [[basis[j][i] for j in range(d)] for i in range(n)]
-    qv0 = q.vertices[0]
-    qcoords = []
-    from .intlinalg import solve_integer_exact
-    for v in q.vertices:
-        z = solve_integer_exact(bmat, [a - b for a, b in zip(v, qv0)])
-        if z is None:
-            return None
-        qcoords.append(tuple(z))
-    qc = IntegralPolytope(d, tuple(sorted(qcoords)))
-
+    q0 = chart.coords(q.vertices[0])
+    qc = IntegralPolytope(pc.rank, tuple(sorted(
+        tuple(a - b for a, b in zip(chart.coords(v), q0)) for v in q.vertices)))
     sc = _solve_fulldim(pc, qc)
     if sc is None:
         return None
-    offset = tuple(a - b for a, b in zip(pv0, qv0))
-    pts = []
-    for z in sc.vertices:
-        amb = [sum(basis[j][i] * z[j] for j in range(d)) for i in range(n)]
-        pts.append(tuple(a + o for a, o in zip(amb, offset)))
-    return hull(pts)
+    return hull([tuple(a - b for a, b in zip(chart.embed(z), q.vertices[0]))
+                 for z in sc.vertices])
 
 
 def _solve_fulldim(p: IntegralPolytope, q: IntegralPolytope):
@@ -302,7 +251,7 @@ def _solve_fulldim(p: IntegralPolytope, q: IntegralPolytope):
     if p.dim() <= 1:
         return _solve_difference(p, q)
     pieces = []
-    for psi, _ in facet_description(p)[1]:
+    for psi, _ in fulldim_facets(p.vertices, p.rank):
         sub = _solve_difference(face(p, psi), face(q, psi))
         if sub is None:
             return None

@@ -161,3 +161,46 @@ def random_genuine_pair(rng: random.Random, rank: int = 2):
     q = random_polytope(rng, rank, rng.randint(2, 5), 3)
     s = random_polytope(rng, rank, rng.randint(2, 5), 3)
     return VirtualPolytope(minkowski_sum(q, s), q), s
+
+
+def affine_rank(pts) -> int:
+    """Dimension of the affine hull, by Gaussian elimination over Q."""
+    rows = [[Fraction(a - b) for a, b in zip(p, pts[0])] for p in pts[1:]]
+    rank = 0
+    for col in range(len(pts[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def sublattice_sampler(rng: random.Random, n: int, d: int, spread: int = 2):
+    """(generators, sample) for a random d-dimensional affine sublattice of Z^n.
+
+    The first generator is twice an integer vector, so the generators span
+    a lattice of even index in its saturation and differ from any
+    saturated basis. sample(count) draws count points base + sum c_k g_k
+    with |c_k| <= spread.
+    """
+    while True:
+        gens = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(d)]
+        if affine_rank([[0] * n] + gens) == d:
+            break
+    gens[0] = [2 * x for x in gens[0]]
+    base = [rng.randint(-3, 3) for _ in range(n)]
+
+    def sample(count):
+        out = []
+        for _ in range(count):
+            c = [rng.randint(-spread, spread) for _ in gens]
+            out.append(tuple(b + sum(ck * g[i] for ck, g in zip(c, gens))
+                             for i, b in enumerate(base)))
+        return out
+
+    return gens, sample

@@ -54,6 +54,20 @@ def test_polytope_face_and_norm(tmp_path, capsys):
     assert json.loads(out)["value"] == 1
 
 
+@pytest.mark.parametrize("subcommand", ["polytope-face", "polytope-norm"])
+@pytest.mark.parametrize("form", [
+    {"polytope": {"rank": 2, "vertices": [[0, 0], [1, 0]]}},
+    {"virtual": {"pos": {"rank": 2, "vertices": [[0, 0], [1, 0]]},
+                 "neg": {"rank": 2, "vertices": [[0, 0]]}}},
+])
+@pytest.mark.parametrize("covector", [[1, 0, 0], [1]])
+def test_covector_length_mismatch_exit_2(tmp_path, capsys, subcommand, form, covector):
+    doc = dict(form, covector=covector)
+    code, out = run(capsys, [subcommand, write_doc(tmp_path, "cov.json", doc)])
+    assert code == 2
+    assert "covector" in json.loads(out)["error"]
+
+
 def test_is_polytope_failure_certificate(tmp_path, capsys):
     doc = {"pos": {"rank": 2, "vertices": [[0, 0], [1, 0]]},
            "neg": {"rank": 2, "vertices": [[0, 0], [0, 1]]}}
@@ -156,6 +170,13 @@ def test_torsion_non_acyclic_is_domain_error(tmp_path, capsys):
     code, out = run(capsys, ["torsion", write_doc(tmp_path, "k.json", doc)])
     assert code == 1
     assert "error" in json.loads(out)
+
+
+def test_torsion_negative_rank_exit_2(tmp_path, capsys):
+    doc = {"group": {"k": 0, "twist": []}, "ranks": [-1], "boundaries": []}
+    code, out = run(capsys, ["torsion", write_doc(tmp_path, "neg.json", doc)])
+    assert code == 2
+    assert "nonnegative" in json.loads(out)["error"]
 
 
 def test_malformed_json_exit_2(tmp_path, capsys):

@@ -15,7 +15,7 @@ from polygroup.grouprings import (
     newton_polytope,
     snf,
 )
-from polygroup.intlinalg import int_det, mat_det, mat_mul
+from polygroup.intlinalg import identity_matrix, int_det, inverse_unimodular, mat_det, mat_mul
 from polygroup.lattice import hull
 from polygroup.vpolytope import TranslationClass, VirtualPolytope
 
@@ -49,6 +49,26 @@ def test_int_det_matches_fraction_elimination():
         if n > 1 and rng.random() < 0.2:
             a[-1] = list(a[0])  # singular
         assert int_det(a) == mat_det(a)
+
+
+def test_inverse_unimodular():
+    rng = random.Random(3)
+    for n in range(6):
+        for _ in range(10):
+            # a random unimodular matrix: a product of elementary row operations
+            a = identity_matrix(n)
+            for _ in range(3 * n):
+                i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+                f = rng.randint(-3, 3) if i != j else 0
+                a[i] = [x + f * y for x, y in zip(a[i], a[j])]
+                if rng.random() < 0.3:
+                    a[i] = [-x for x in a[i]]
+            inv = inverse_unimodular(a)
+            assert mat_mul(a, inv) == identity_matrix(n)
+            assert mat_mul(inv, a) == identity_matrix(n)
+    for bad in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[1, 0]]):
+        with pytest.raises(ValueError):
+            inverse_unimodular(bad)
 
 
 def test_twisted_group_validation():

@@ -1,11 +1,12 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
+from gen import affine_rank, sublattice_sampler
 from polygroup.exactlp import point_in_hull
+from polygroup.intlinalg import snf
 from polygroup.lattice import (
     AffineLatticeMap,
     GeometryError,
@@ -16,6 +17,7 @@ from polygroup.lattice import (
     facet_normals,
     hull,
     minkowski_sum,
+    polytope_coords,
     pushforward,
     reflect,
     seminorm,
@@ -268,23 +270,6 @@ def _det(m):
                for j in range(len(m)) if m[0][j])
 
 
-def _affine_rank(pts):
-    """Dimension of the affine hull, by Gaussian elimination over Q."""
-    rows = [[Fraction(a - b) for a, b in zip(p, pts[0])] for p in pts[1:]]
-    rank = 0
-    for col in range(len(pts[0])):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col] / rows[rank][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _brute_force_facets(vertices):
     """Facets of a full-dimensional polytope in Z^d by trying every d-subset.
 
@@ -316,17 +301,17 @@ def _check_against_facet_oracle(p):
     inequalities are tight exactly on the facets the oracle finds in a
     coordinate projection that is injective on aff(P)."""
     verts = list(p.vertices)
-    n, d = p.rank, _affine_rank(verts)
+    n, d = p.rank, affine_rank(verts)
     eqs, ineqs = facet_description(p)
     if d == n:
         assert (eqs, ineqs) == ([], _brute_force_facets(verts))
         return
-    assert len(eqs) == n - d == _affine_rank([(0,) * n] + [phi for phi, _ in eqs])
+    assert len(eqs) == n - d == affine_rank([(0,) * n] + [phi for phi, _ in eqs])
     for phi, c in eqs + ineqs:
         assert all(dot(phi, v) <= c for v in verts)
     assert all(dot(phi, v) == c for phi, c in eqs for v in verts)
     cols = next(cols for cols in itertools.combinations(range(n), d)
-                if _affine_rank([tuple(v[i] for i in cols) for v in verts]) == d)
+                if affine_rank([tuple(v[i] for i in cols) for v in verts]) == d)
     proj = [tuple(v[i] for i in cols) for v in verts]
     expected = sorted(sorted(v for v, w in zip(verts, proj) if dot(psi, w) == c)
                       for psi, c in _brute_force_facets(proj))
@@ -352,3 +337,34 @@ def test_facet_description_against_subset_enumeration_oracle():
     ]
     for pts in sets:
         _check_against_facet_oracle(hull(pts))
+
+
+def test_affine_chart_in_sublattices():
+    # points of a d-dimensional affine sublattice of Z^n whose generators
+    # are not a saturated basis, so the chart's basis must refine them
+    rng = random.Random(43)
+    for n in (3, 4):
+        for d in range(1, n):
+            for _ in range(8):
+                gens, sample = sublattice_sampler(rng, n, d)
+                p = hull(sample(rng.randint(1, 6)))
+                dirs = p.direction_vectors()
+                dim = sum(1 for x in snf(dirs).diagonal if x) if dirs else 0
+                assert p.dim() == dim
+                coords, chart = polytope_coords(p)
+                assert coords.rank == len(chart.basis) == dim
+                assert len(chart.kernel) == n - dim
+                assert all(dot(k, b) == 0 for k in chart.kernel for b in chart.basis)
+                assert coords.vertices == tuple(sorted(chart.coords(v) for v in p.vertices))
+                for v in p.vertices:
+                    assert chart.embed(chart.coords(v)) == v
+                for _ in range(3):
+                    psi = tuple(rng.randint(-3, 3) for _ in range(dim))
+                    phi = chart.pull(psi)
+                    assert tuple(dot(phi, b) for b in chart.basis) == psi
+                if dim == d:
+                    # the generators in chart coordinates: an even index
+                    m = [chart.coords([o + x for o, x in zip(chart.origin, g)])
+                         for g in gens]
+                    index = _det(m)
+                    assert index != 0 and index % 2 == 0

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gen import random_genuine_pair, random_polytope, random_virtual
+from gen import random_genuine_pair, random_polytope, random_virtual, sublattice_sampler
 from polygroup.lattice import hull, minkowski_sum, reflect, subset
 from polygroup.vpolytope import (
     DecompositionError,
@@ -168,8 +168,8 @@ def test_leq_matches_translation_search_rank3_and_rank4():
 
 
 def test_leq_lower_dimensional_matches_translation_search():
-    # b spans a proper affine sublattice, so find_translation_into solves
-    # the equalities of its affine hull with solve_diophantine first
+    # b spans a proper affine sublattice, so find_translation_into checks
+    # a against the kernel of b's chart and searches in its coordinates
     rng = random.Random(16)
     outcomes = set()
     for _ in range(30):
@@ -196,6 +196,29 @@ def test_leq_lower_dimensional_matches_translation_search():
         assert leq(x, y) == want
         outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def test_is_polytope_in_sublattices_rank3_and_rank4():
+    # Q and S lie in one d-dimensional affine sublattice of Z^n whose
+    # generators are not a saturated basis; the face recursion runs in
+    # the chart of Q + S and of its faces
+    rng = random.Random(44)
+    for n in (3, 4):
+        for d in range(1, n):
+            for _ in range(4):
+                _, sample = sublattice_sampler(rng, n, d)
+                q = hull(sample(rng.randint(1, 5)))
+                s = hull(sample(rng.randint(2, 4)))
+                while s.is_point:
+                    s = hull(sample(rng.randint(2, 4)))
+                qs = minkowski_sum(q, s)
+                got = is_polytope(vp(qs, q))
+                assert got is not None
+                assert pt_equal(vp(got), vp(s))
+                neg = vp(q, qs)
+                found, cert = is_polytope_certified(neg)
+                assert found is None
+                assert is_polytope(face_map(neg, cert)) is None
 
 
 def test_face_map_basics():

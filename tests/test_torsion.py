@@ -34,6 +34,14 @@ def test_make_rejects_nonzero_square():
         BasedChainComplex.make(g, (1, 1, 1), [[[one]], [[one]]])
 
 
+def test_make_rejects_negative_ranks():
+    g = TwistedGroup.make(0, [])
+    # every other shape condition holds for these: only the sign fails
+    for ranks, boundaries in (((-1,), []), ((-5,), []), ((0, -1), [[]])):
+        with pytest.raises(ChainComplexError, match="nonnegative"):
+            BasedChainComplex.make(g, ranks, boundaries)
+
+
 def test_validate_builders():
     assert validate(circle_complex())
     for twist in ([[1]], [[1, 0], [0, 1]], HEISENBERG, SOL):
