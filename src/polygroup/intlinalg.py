@@ -1,13 +1,12 @@
 """Exact integer matrix utilities.
 
-Everything here works with plain Python ints (arbitrary precision) or
-``fractions.Fraction``; no floating point is used anywhere.
+Everything here works with plain Python ints (arbitrary precision); no
+floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 IntMatrix = list[list[int]]
 
@@ -28,30 +27,6 @@ def mat_vec(a, v):
     if a and len(a[0]) != len(v):
         raise ValueError("shape mismatch in mat_vec")
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
-def mat_det(a) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination, exact."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
 
 
 def int_det(a) -> int:
@@ -207,16 +182,15 @@ def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     return mat_mul(dec.V, dec.U)
 
 
-def solve_diophantine(a, b):
-    """Integer solutions of A t = b.
+def solve_integer_exact(a, b) -> list[int] | None:
+    """An integer solution of A x = b, or None.
 
-    Returns (t0, basis) where the full solution set is t0 + Z-span(basis),
-    or None if no integer solution exists.
+    With U A V = D in Smith form, x = V z where D z = U b.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if rows == 0:
-        return [0] * cols, identity_matrix(cols)
+        return [0] * cols
     dec = snf(a)
     ub = mat_vec([list(r) for r in dec.U], list(b))
     diag = dec.diagonal
@@ -226,24 +200,8 @@ def solve_diophantine(a, b):
         if d == 0:
             if ub[i] != 0:
                 return None
+        elif ub[i] % d != 0:
+            return None
         else:
-            if ub[i] % d != 0:
-                return None
-            if i < cols:
-                z[i] = ub[i] // d
-    v = [list(r) for r in dec.V]
-    t0 = mat_vec(v, z)
-    basis = []
-    for j in range(cols):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            basis.append([v[i][j] for i in range(cols)])
-    return t0, basis
-
-
-def solve_integer_exact(a, b) -> list[int] | None:
-    """An integer solution of A x = b, or None."""
-    res = solve_diophantine(a, b)
-    if res is None:
-        return None
-    return res[0]
+            z[i] = ub[i] // d
+    return mat_vec([list(r) for r in dec.V], z)

@@ -165,16 +165,13 @@ class DetClass:
     denominator: GroupRingElement
     unit_exponent: int
     sign: int
-    # polytope precomputed factor-wise when available; the polytope of a
-    # product is the sum of the factor polytopes, which avoids taking the
+    # the polytope is summed factor-wise by dieudonne_det: the polytope of
+    # a product is the sum of the factor polytopes, which avoids taking the
     # support hull of one very large product element
-    cached_polytope: TranslationClass | None = None
+    cached_polytope: TranslationClass
 
     def polytope(self, g: TwistedGroup) -> TranslationClass:
-        if self.cached_polytope is not None:
-            return self.cached_polytope
-        return element_polytope(self.numerator, g).sub(
-            element_polytope(self.denominator, g))
+        return self.cached_polytope
 
 
 def _matrix_to_skew(m, g: TwistedGroup):

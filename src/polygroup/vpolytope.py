@@ -198,64 +198,31 @@ def seminorm_map(x: VirtualPolytope, cov) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Detection of genuine polytopes (constructive face recursion)
+# Detection of genuine polytopes (vertex matching)
 # ---------------------------------------------------------------------------
 
-def _segment_data(p: IntegralPolytope):
-    """(anchor, primitive direction, length) for a point or segment."""
-    if p.is_point:
-        return p.vertices[0], None, 0
-    a, b = p.vertices[0], p.vertices[-1]
-    diff = tuple(y - x for x, y in zip(a, b))
-    d = primitive(diff)
-    length = next(diff[i] // d[i] for i in range(len(d)) if d[i] != 0)
-    return a, d, length
-
-
 def _solve_difference(p: IntegralPolytope, q: IntegralPolytope):
-    """Find S with P = Q + S exactly, else None."""
-    if p.dim() <= 1:
-        pa, pd, pl = _segment_data(p)
-        if q.dim() > 1:
-            return None
-        qa, qd, ql = _segment_data(q)
-        if qd is not None and (pd is None or qd not in (pd, tuple(-c for c in pd))):
-            return None
-        if ql > pl:
-            return None
-        if pd is None:
-            return hull([tuple(a - b for a, b in zip(pa, qa))])
-        # align q's direction with p's
-        qlo = face(q, tuple(-c for c in pd)).vertices[0]
-        plo = face(p, tuple(-c for c in pd)).vertices[0]
-        base = tuple(a - b for a, b in zip(plo, qlo))
-        tip = tuple(b + (pl - ql) * d for b, d in zip(base, pd))
-        cand = hull([base, tip])
-        return cand if minkowski_sum(q, cand) == p else None
+    """Find S with P = Q + S exactly, else None.
 
-    pc, chart = polytope_coords(p)
-    if any(seminorm(q, phi) for phi in chart.kernel):
-        return None
-    q0 = chart.coords(q.vertices[0])
-    qc = IntegralPolytope(pc.rank, tuple(sorted(
-        tuple(a - b for a, b in zip(chart.coords(v), q0)) for v in q.vertices)))
-    sc = _solve_fulldim(pc, qc)
-    if sc is None:
-        return None
-    return hull([tuple(a - b for a, b in zip(chart.embed(z), q.vertices[0]))
-                 for z in sc.vertices])
-
-
-def _solve_fulldim(p: IntegralPolytope, q: IntegralPolytope):
-    """Full-dimensional case of the face recursion."""
-    if p.dim() <= 1:
-        return _solve_difference(p, q)
+    One rule serves every dimension. For a vertex v of P, the sum phi_v
+    of the outer normals of P's facets through v lies inside P's normal
+    cone at v, so F_phi(P) = {v}. If P = Q + S, then {v} = F_phi(Q) +
+    F_phi(S): the face of Q is one point q_v and v - q_v is a vertex of
+    S. The normal fan of P refines that of S (Shephard's summand
+    criterion), so every vertex of S is some v - q_v. The final
+    Minkowski check makes the answer exact.
+    """
+    _, ineqs = facet_description(p)
     pieces = []
-    for psi, _ in fulldim_facets(p.vertices, p.rank):
-        sub = _solve_difference(face(p, psi), face(q, psi))
-        if sub is None:
+    for v in p.vertices:
+        phi = (0,) * p.rank
+        for psi, c in ineqs:
+            if dot(psi, v) == c:
+                phi = tuple(a + b for a, b in zip(phi, psi))
+        fq = face(q, phi)
+        if not fq.is_point:
             return None
-        pieces.extend(sub.vertices)
+        pieces.append(tuple(a - b for a, b in zip(v, fq.vertices[0])))
     cand = hull(pieces)
     return cand if minkowski_sum(q, cand) == p else None
 
@@ -305,6 +272,17 @@ def is_polytope_certified(x: VirtualPolytope, max_directions: int | None = None)
 # ---------------------------------------------------------------------------
 # Polygon edge-decomposition oracle (rank 2)
 # ---------------------------------------------------------------------------
+
+def _segment_data(p: IntegralPolytope):
+    """(anchor, primitive direction, length) for a point or segment."""
+    if p.is_point:
+        return p.vertices[0], None, 0
+    a, b = p.vertices[0], p.vertices[-1]
+    diff = tuple(y - x for x, y in zip(a, b))
+    d = primitive(diff)
+    length = next(diff[i] // d[i] for i in range(len(d)) if d[i] != 0)
+    return a, d, length
+
 
 def polygon_edges(p: IntegralPolytope) -> dict:
     """Counterclockwise primitive edge directions with lengths.

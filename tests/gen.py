@@ -163,6 +163,30 @@ def random_genuine_pair(rng: random.Random, rank: int = 2):
     return VirtualPolytope(minkowski_sum(q, s), q), s
 
 
+def mat_det(a) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals, exact."""
+    n = len(a)
+    if n == 0:
+        return Fraction(1)
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] != 0:
+                f = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    return det
+
+
 def affine_rank(pts) -> int:
     """Dimension of the affine hull, by Gaussian elimination over Q."""
     rows = [[Fraction(a - b) for a, b in zip(p, pts[0])] for p in pts[1:]]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gen import HEISENBERG, SOL, rand_element
+from gen import HEISENBERG, SOL, mat_det, rand_element
 from polygroup.grouprings import (
     GroupRingElement,
     GroupRingError,
@@ -15,7 +15,14 @@ from polygroup.grouprings import (
     newton_polytope,
     snf,
 )
-from polygroup.intlinalg import identity_matrix, int_det, inverse_unimodular, mat_det, mat_mul
+from polygroup.intlinalg import (
+    identity_matrix,
+    int_det,
+    inverse_unimodular,
+    mat_mul,
+    mat_vec,
+    solve_integer_exact,
+)
 from polygroup.lattice import hull
 from polygroup.vpolytope import TranslationClass, VirtualPolytope
 
@@ -69,6 +76,20 @@ def test_inverse_unimodular():
     for bad in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[1, 0]]):
         with pytest.raises(ValueError):
             inverse_unimodular(bad)
+
+
+def test_solve_integer_exact():
+    # 2x + 4y = 6 and 3z = 9 have integer solutions; 2x + 4y = 5 has only
+    # rational ones
+    a = [[2, 4, 0], [0, 0, 3]]
+    x = solve_integer_exact(a, [6, 9])
+    assert x is not None and mat_vec(a, x) == [6, 9]
+    assert solve_integer_exact(a, [5, 9]) is None
+    # dependent rows: consistent, then inconsistent
+    b = [[1, 1], [2, 2]]
+    x = solve_integer_exact(b, [3, 6])
+    assert x is not None and mat_vec(b, x) == [3, 6]
+    assert solve_integer_exact(b, [3, 7]) is None
 
 
 def test_twisted_group_validation():

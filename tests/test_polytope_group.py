@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gen import random_genuine_pair, random_polytope, random_virtual, sublattice_sampler
-from polygroup.lattice import hull, minkowski_sum, reflect, subset
+from polygroup.lattice import dot, facet_description, hull, minkowski_sum, reflect, subset, support
 from polygroup.vpolytope import (
     DecompositionError,
     RelativeMonoidResult,
@@ -200,8 +202,8 @@ def test_leq_lower_dimensional_matches_translation_search():
 
 def test_is_polytope_in_sublattices_rank3_and_rank4():
     # Q and S lie in one d-dimensional affine sublattice of Z^n whose
-    # generators are not a saturated basis; the face recursion runs in
-    # the chart of Q + S and of its faces
+    # generators are not a saturated basis; the facets of Q + S come from
+    # its chart, pulled back to Z^n, and the vertex normals are sums of them
     rng = random.Random(44)
     for n in (3, 4):
         for d in range(1, n):
@@ -219,6 +221,93 @@ def test_is_polytope_in_sublattices_rank3_and_rank4():
                 found, cert = is_polytope_certified(neg)
                 assert found is None
                 assert is_polytope(face_map(neg, cert)) is None
+
+
+@pytest.mark.parametrize("q_pts, s_pts", [
+    ([(-7, 2, 5, 8), (-6, 11, 2, 5), (14, -9, -6, -1), (14, -7, -6, -2)],
+     [(0, -2, 1, 5), (3, 1, 4, 2), (5, -4, -5, 3), (5, 2, -3, 1)]),
+    ([(-13, 8, -2, 2), (-7, 18, 0, -1), (0, -1, 4, 1), (2, -5, 2, 8), (6, 8, -2, 6),
+      (6, 14, -2, 7)],
+     [(-1, -2, 2, 5), (2, -5, 2, 0)]),
+])
+def test_is_polytope_smith_form_swell_reproducers(q_pts, s_pts):
+    # per-face lattice charts stalled on these inputs, in Smith forms of
+    # saturated bases with 7- and 8-digit entries; P = Q + S is
+    # full-dimensional, so its facets need no chart
+    q, s = hull(q_pts), hull(s_pts)
+    start = time.perf_counter()
+    assert is_polytope(vp(minkowski_sum(q, s), q)) == s
+    assert time.perf_counter() - start < 1.0
+
+
+def _difference_by_erosion(p, q):
+    """Q + T == P for T the hull of the lattice points z with z + Q in P.
+
+    z ranges over the box [min P - min Q, max P - max Q]; z + Q lies in P
+    iff z meets P's equalities and inequalities shifted by Q's values.
+    Returns T, or None when no z fits or Q + T != P.
+    """
+    eqs, ineqs = facet_description(p)
+    rows = []
+    for phi, c in eqs:
+        if len({dot(phi, w) for w in q.vertices}) > 1:
+            return None
+        rows.append((phi, c - dot(phi, q.vertices[0]), True))
+    rows += [(phi, c - support(q, phi), False) for phi, c in ineqs]
+    box = [range(min(v[i] for v in p.vertices) - min(w[i] for w in q.vertices),
+                 max(v[i] for v in p.vertices) - max(w[i] for w in q.vertices) + 1)
+           for i in range(p.rank)]
+    fits = [z for z in itertools.product(*box)
+            if all(dot(phi, z) == c if eq else dot(phi, z) <= c for phi, c, eq in rows)]
+    if not fits:
+        return None
+    t = hull(fits)
+    return t if minkowski_sum(q, t) == p else None
+
+
+def _small_polytope(rng, n):
+    """A random polytope of random dimension 0..n.
+
+    Coordinates lie in [-(d + 1), d + 1], so the erosion
+    oracle's box stays small in Z^4.
+    """
+    d = rng.randint(0, n)
+    if d == n:
+        return random_polytope(rng, n, rng.randint(n + 1, 6), 1)
+    gens = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(d)]
+    base = [rng.randint(-1, 1) for _ in range(n)]
+    pts = []
+    for _ in range(rng.randint(1, 5)):
+        c = [rng.randint(-1, 1) for _ in gens]
+        pts.append(tuple(b + sum(ck * g[i] for ck, g in zip(c, gens))
+                         for i, b in enumerate(base)))
+    return hull(pts)
+
+
+def test_is_polytope_matches_erosion_oracle_rank3_and_rank4():
+    rng = random.Random(45)
+    outcomes, dims = set(), set()
+    for n in (3, 4):
+        for _ in range(12):
+            q, s = _small_polytope(rng, n), _small_polytope(rng, n)
+            qs = minkowski_sum(q, s)
+            dims.add((q.dim() == n, s.dim() == n))
+            for p, r in ((qs, q), (q, qs), (s, q)):
+                want = _difference_by_erosion(p, r)
+                assert is_polytope(vp(p, r)) == want
+                outcomes.add(want is None)
+            assert is_polytope(vp(qs, q)) == s
+    assert outcomes == {True, False}
+    assert dims == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), rank=st.integers(1, 4))
+def test_cancellation_law(data, rank):
+    point = st.tuples(*[st.integers(-3, 3)] * rank)
+    q = hull(data.draw(st.lists(point, min_size=1, max_size=6)))
+    s = hull(data.draw(st.lists(point, min_size=1, max_size=5)))
+    assert is_polytope(vp(minkowski_sum(q, s), q)) == s
 
 
 def test_face_map_basics():
