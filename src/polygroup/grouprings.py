@@ -54,6 +54,7 @@ class TwistedGroup:
     k: int
     twist: tuple[tuple[int, ...], ...]
     _power_cache: dict = field(default_factory=dict, compare=False, hash=False, repr=False)
+    _h1_cache: list = field(default_factory=list, compare=False, hash=False, repr=False)
 
     @staticmethod
     def make(k: int, twist) -> "TwistedGroup":
@@ -94,20 +95,18 @@ def h1_projection(g: TwistedGroup) -> AffineLatticeMap:
     The exponent of x^v u^m is (v, m). Modulo commutators the fiber part
     is well defined only in coker(A - I); the free part of that cokernel
     is read off from the Smith form of A - I, and the u-exponent always
-    survives as the last coordinate.
+    survives as the last coordinate. Computed once per group.
     """
-    k = g.k
-    if k == 0:
-        return AffineLatticeMap(((1,),), (0,))
-    a_minus_i = [[g.twist[i][j] - (1 if i == j else 0) for j in range(k)] for i in range(k)]
-    dec = snf(a_minus_i)
-    diag = dec.diagonal
-    free_rows = [i for i in range(k) if i >= len(diag) or diag[i] == 0]
-    rows = []
-    for i in free_rows:
-        rows.append(tuple(dec.U[i]) + (0,))
-    rows.append((0,) * k + (1,))
-    return AffineLatticeMap(tuple(rows), (0,) * len(rows))
+    if not g._h1_cache:
+        k, rows = g.k, []
+        if k:
+            dec = snf([[g.twist[i][j] - (1 if i == j else 0) for j in range(k)]
+                       for i in range(k)])
+            diag = dec.diagonal
+            rows = [tuple(dec.U[i]) + (0,) for i in range(k) if i >= len(diag) or diag[i] == 0]
+        rows.append((0,) * k + (1,))
+        g._h1_cache.append(AffineLatticeMap(tuple(rows), (0,) * len(rows)))
+    return g._h1_cache[0]
 
 
 def h1_rank(g: TwistedGroup) -> int:

@@ -11,6 +11,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .intlinalg import identity_matrix, int_det, int_kernel, mat_vec, snf
 
@@ -33,7 +34,7 @@ def primitive(cov) -> Covector:
 
 
 def dot(cov, point) -> int:
-    return sum(c * p for c, p in zip(cov, point))
+    return sum(map(mul, cov, point))
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,17 @@ class IntegralPolytope:
     def direction_vectors(self) -> list[list[int]]:
         v0 = self.vertices[0]
         return [[a - b for a, b in zip(v, v0)] for v in self.vertices[1:]]
+
+    @functools.cached_property
+    def chart_facets(self):
+        """(chart, facets of the coords polytope in chart coordinates).
+
+        The full-dimensional model of `polytope_coords` and its
+        `fulldim_facets`, computed at most once per polytope; equality
+        and hashing still see only rank and vertices.
+        """
+        coords, chart = polytope_coords(self)
+        return chart, tuple(fulldim_facets(coords.vertices, coords.rank))
 
     def translate(self, t) -> "IntegralPolytope":
         verts = tuple(sorted(tuple(a + b for a, b in zip(v, t)) for v in self.vertices))
@@ -97,11 +109,6 @@ class AffineLatticeMap:
         off = tuple(x + o for x, o in
                     zip(mat_vec([list(r) for r in self.matrix], list(other.offset)), self.offset))
         return AffineLatticeMap(mat, off)
-
-    @staticmethod
-    def identity(n: int) -> "AffineLatticeMap":
-        return AffineLatticeMap(tuple(tuple(1 if i == j else 0 for j in range(n))
-                                      for i in range(n)), (0,) * n)
 
 
 @dataclass(frozen=True)
@@ -239,7 +246,8 @@ def _hull_fulldim(pts, simplex):
     dropped. At the end a triangulation vertex is a polytope vertex iff
     the normals of the facets through it have full rank, and the
     polytope's facets are the distinct (primitive outer normal, offset)
-    pairs of the triangles, since coplanar triangles share both.
+    pairs of the triangles, since coplanar triangles share both. Each
+    new triangle pays one `_cofactor_normal`, in closed form for d <= 4.
     Returns (vertices, sorted facets).
     """
     d = len(pts[0])
@@ -325,9 +333,10 @@ def _hull_fulldim(pts, simplex):
 def hull(points) -> IntegralPolytope:
     """Convex hull with canonical (sorted, extreme-only) vertex set.
 
-    Rank 1 takes the extremes and rank 2 a monotone chain. For rank
-    >= 3 the points are projected injectively onto pivot coordinates of
-    their direction lattice; a projection of dimension <= 2 is solved as
+    One or two distinct points are their own vertices. Otherwise rank 1
+    takes the extremes and rank 2 a monotone chain. For rank >= 3 the
+    points are projected injectively onto pivot coordinates of their
+    direction lattice; a projection of dimension <= 2 is solved as
     above, and a full-dimensional one by the exact beneath-beyond engine
     `_hull_fulldim`, which also yields the facets for `facet_description`.
     No linear program is solved.
@@ -336,6 +345,8 @@ def hull(points) -> IntegralPolytope:
     if not pts:
         raise GeometryError("empty point set")
     rank = _check_ranks(pts)
+    if len(pts) <= 2:
+        return IntegralPolytope(rank, tuple(sorted(set(pts))))
     if rank == 0:
         return IntegralPolytope(0, ((),))
     if rank == 1:
@@ -396,8 +407,24 @@ def pushforward(f: AffineLatticeMap, p: IntegralPolytope) -> IntegralPolytope:
 
 
 def _cofactor_normal(rows):
-    """Primitive integer kernel vector of a (d-1) x d integer matrix."""
+    """Primitive integer kernel vector of a (d-1) x d integer matrix.
+
+    Entry j is (-1)^j times the minor without column j: a cross product
+    for d = 3, a Laplace expansion along the last row over the six 2 x 2
+    minors of the first two for d = 4, and Bareiss minors otherwise.
+    """
     d = len(rows) + 1
+    if d == 3:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        return primitive((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+    if d == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        m01, m02, m03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+        m12, m13, m23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+        return primitive((c1 * m23 - c2 * m13 + c3 * m12,
+                          -c0 * m23 + c2 * m03 - c3 * m02,
+                          c0 * m13 - c1 * m03 + c3 * m01,
+                          -c0 * m12 + c1 * m02 - c2 * m01))
     normal = []
     for j in range(d):
         minor = [[row[c] for c in range(d) if c != j] for row in rows]
@@ -435,12 +462,14 @@ def facet_description(p: IntegralPolytope):
     phi(x) == c resp. phi(x) <= c, whose simultaneous solution set is
     exactly P. The equalities are the chart's kernel; the inequalities
     are the facets of the full-dimensional model `polytope_coords`,
-    pulled back through the chart.
+    pulled back through the chart. Chart and facets are computed once
+    per polytope (`IntegralPolytope.chart_facets`); every call returns
+    fresh lists.
     """
-    coords, chart = polytope_coords(p)
+    chart, facets = p.chart_facets
     equalities = [(k, dot(k, chart.origin)) for k in chart.kernel]
     ineqs = []
-    for psi, c in fulldim_facets(coords.vertices, coords.rank):
+    for psi, c in facets:
         phi = chart.pull(psi)
         ineqs.append((phi, c + dot(phi, chart.origin)))
     return equalities, sorted(ineqs)

@@ -21,10 +21,8 @@ from .lattice import (
     dot,
     face,
     facet_description,
-    fulldim_facets,
     hull,
     minkowski_sum,
-    polytope_coords,
     primitive,
     reflect,
     seminorm,
@@ -153,14 +151,15 @@ def find_translation_into(a: IntegralPolytope, b: IntegralPolytope):
     is constant on a; then t = embed(s) - a_0 for s in Z^d, and the
     feasible s form the rational erosion of b's coords polytope by a's.
     We intersect it with the lattice by enumerating the integer points
-    of its bounding box.
+    of its bounding box. b's chart and facets come from its cache
+    `chart_facets`, shared with `facet_description`.
     """
-    bc, chart = polytope_coords(b)
+    chart, facets = b.chart_facets
     if any(seminorm(a, phi) for phi in chart.kernel):
         return None
-    d, a0 = bc.rank, a.vertices[0]
+    d, a0 = len(chart.basis), a.vertices[0]
     rows, rhs = [], []
-    for psi, c in fulldim_facets(bc.vertices, d):
+    for psi, c in facets:
         phi = chart.pull(psi)
         rows.append(psi)
         rhs.append(c - support(a, phi) + dot(phi, a0))

@@ -116,6 +116,7 @@ def test_h1_projection_kills_commutator_directions():
     for twist in (HEISENBERG, SOL, [[1, 0], [0, 1]]):
         g = TwistedGroup.make(2, twist)
         proj = h1_projection(g)
+        assert h1_projection(g) is proj                     # once per group
         for v in ((1, 0), (0, 1), (2, -3)):
             av = g.act(1, v)
             diff = tuple(a - b for a, b in zip(av, v)) + (0,)

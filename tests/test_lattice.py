@@ -5,12 +5,14 @@ import random
 import pytest
 
 from gen import affine_rank, sublattice_sampler
+from polygroup import lattice
 from polygroup.exactlp import point_in_hull
-from polygroup.intlinalg import snf
+from polygroup.intlinalg import int_det, snf
 from polygroup.lattice import (
     AffineLatticeMap,
     GeometryError,
     IntegralPolytope,
+    _cofactor_normal,
     dot,
     face,
     facet_description,
@@ -18,12 +20,14 @@ from polygroup.lattice import (
     hull,
     minkowski_sum,
     polytope_coords,
+    primitive,
     pushforward,
     reflect,
     seminorm,
     subset,
     support,
 )
+from polygroup.vpolytope import find_translation_into
 
 
 def seg(a, b):
@@ -89,6 +93,12 @@ def test_hull_vertices_against_lp_membership_oracle():
         # full-dimensional sets in Z^4, random and with coplanar boundary points
         [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(40)],
         list(itertools.product((0, 1, 2), repeat=4)),
+        # full-dimensional sets in Z^5 and a 5-dimensional set in Z^6, where
+        # facet normals come from Bareiss minors rather than a closed form
+        *([tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(18)] for _ in range(3)),
+        _affine_sample(rng, (1, 0, -1, 2, 0, 1),
+                       [(1, 0, 0, 1, 0, 2), (0, 1, 0, -1, 1, 0), (0, 0, 1, 1, -1, 0),
+                        (1, 1, 0, 0, 2, -1), (0, 2, -1, 0, 0, 1)], 24),
     ]
     for pts in inputs:
         p = hull(pts)
@@ -99,6 +109,20 @@ def test_hull_vertices_against_lp_membership_oracle():
             others = [r for r in set(pts) if r != q]
             is_vertex = not point_in_hull(q, others)
             assert (q in vset) == is_vertex
+
+
+def test_cofactor_normal_matches_minor_definition():
+    rng = random.Random(13)
+    for d in range(2, 7):
+        for trial in range(30):
+            rows = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(d - 1)]
+            if trial % 5 == 0 and d > 2:          # dependent rows: the zero normal
+                rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1 % (d - 2)])]
+            minors = [int_det([r[:j] + r[j + 1:] for r in rows]) for j in range(d)]
+            want = primitive([(-1) ** j * m for j, m in enumerate(minors)])
+            got = _cofactor_normal(rows)
+            assert got == want
+            assert all(dot(got, r) == 0 for r in rows)
 
 
 def test_minkowski_intervals():
@@ -202,6 +226,38 @@ def test_subset():
         q = hull([tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(5)])
         assert subset(p, minkowski_sum(p, q.translate(
             tuple(-c for c in q.vertices[0]))))
+
+
+def test_facet_description_cached_per_polytope():
+    rng = random.Random(29)
+    p = hull([tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(10)])
+    first = facet_description(p)
+    first[0].append(((1, 0, 0), 0))
+    first[1].clear()
+    assert facet_description(p) == facet_description(hull(p.vertices)) != first
+    fresh = IntegralPolytope(p.rank, p.vertices)
+    assert fresh == p and hash(fresh) == hash(p) and str(fresh) == str(p)
+
+
+def test_facets_computed_once_per_polytope(monkeypatch):
+    calls = []
+
+    def counting(vertices, d):
+        calls.append(d)
+        return real(vertices, d)
+
+    real = lattice.fulldim_facets
+    monkeypatch.setattr(lattice, "fulldim_facets", counting)
+    rng = random.Random(41)
+    q = hull([tuple(rng.randint(-6, 6) for _ in range(3)) for _ in range(16)])
+    ps = [hull([tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(4)])
+          for _ in range(40)]
+    results = [subset(p, q) for p in ps]
+    # the translation search behind leq reads the same cached facets of q
+    assert find_translation_into(q.translate((7, -3, 2)), q) == (-7, 3, -2)
+    assert calls == [3]
+    assert results == [all(point_in_hull(v, list(q.vertices)) for v in p.vertices)
+                       for p in ps]
 
 
 def test_facet_normals_interval_and_square():
