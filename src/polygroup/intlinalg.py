@@ -150,23 +150,6 @@ def snf(m_in) -> SmithDecomposition:
     return SmithDecomposition(freeze(u), freeze(m), freeze(v))
 
 
-def int_kernel(m) -> list[list[int]]:
-    """Basis of the saturated integer kernel {v : M v = 0}."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return identity_matrix(cols)
-    dec = snf(m)
-    diag = dec.diagonal
-    basis = []
-    for j in range(cols):
-        if j >= len(diag) or diag[j] == 0:
-            basis.append([dec.V[i][j] for i in range(cols)])
-    return basis
-
-
 def inverse_unimodular(a: IntMatrix) -> IntMatrix:
     """Inverse of a unimodular integer matrix, read off one Smith form.
 

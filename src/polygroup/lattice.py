@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .intlinalg import identity_matrix, int_det, int_kernel, mat_vec, snf
+from .intlinalg import identity_matrix, int_det, mat_vec
 
 Point = tuple[int, ...]
 Covector = tuple[int, ...]
@@ -98,18 +98,6 @@ class AffineLatticeMap:
         img = mat_vec([list(r) for r in self.matrix], list(point))
         return tuple(x + o for x, o in zip(img, self.offset))
 
-    def compose(self, other: "AffineLatticeMap") -> "AffineLatticeMap":
-        """self after other."""
-        if self.source_rank != other.target_rank:
-            raise GeometryError("rank mismatch in composition")
-        mat = tuple(
-            tuple(sum(self.matrix[i][l] * other.matrix[l][j] for l in range(self.source_rank))
-                  for j in range(other.source_rank))
-            for i in range(self.target_rank))
-        off = tuple(x + o for x, o in
-                    zip(mat_vec([list(r) for r in self.matrix], list(other.offset)), self.offset))
-        return AffineLatticeMap(mat, off)
-
 
 @dataclass(frozen=True)
 class AffineChart:
@@ -117,7 +105,7 @@ class AffineChart:
 
     `kernel` holds the covectors vanishing on the direction lattice,
     `basis` a saturated basis b_1..b_d of it, and `left` an n x d integer
-    matrix with basis^T left = I. So `coords` and `embed` are inverse
+    matrix with basis · left = I. So `coords` and `embed` are inverse
     bijections between aff(P) ∩ Z^n and Z^d, and `pull(psi)` is a
     covector phi on Z^n with phi(b_j) = psi_j.
     """
@@ -370,8 +358,13 @@ def hull(points) -> IntegralPolytope:
 
 
 def minkowski_sum(p: IntegralPolytope, q: IntegralPolytope) -> IntegralPolytope:
+    """P + Q. A point summand {t} translates the other; {0} returns it as is."""
     if p.rank != q.rank:
         raise GeometryError("rank mismatch in Minkowski sum")
+    for a, b in ((p, q), (q, p)):
+        if a.is_point:
+            t = a.vertices[0]
+            return b.translate(t) if any(t) else b
     sums = {tuple(a + b for a, b in zip(u, v)) for u in p.vertices for v in q.vertices}
     return hull(sums)
 
@@ -498,24 +491,47 @@ def subset(p: IntegralPolytope, q: IntegralPolytope) -> bool:
     return True
 
 
+def _lattice_chart(dirs, n):
+    """(kernel, basis, left) of the lattice spanned by the rows of dirs.
+
+    One unimodular column reduction makes dirs V = [H | 0]. Euclid with
+    nearest-integer quotients clears each row right of its pivot and
+    reduces the row left of it modulo the pivot, as for a Hermite form
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4), so
+    entries stay small. v[j] is column j of V; the inverse row operations
+    carry W = V^-1. The kernel is then the last n - d columns of V, the
+    basis (of the saturated row lattice) the first d rows of W, and
+    `left` the first d columns of V. Full rank gives the identity chart.
+    """
+    v, w, d = identity_matrix(n), identity_matrix(n), 0
+    for row in dirs:
+        a = [dot(row, c) for c in v]
+        while live := [j for j in range(d, n) if a[j]]:
+            p = min(live, key=lambda j: abs(a[j]))
+            for x in (a, v, w):
+                x[d], x[p] = x[p], x[d]
+            for j in range(n):
+                q = (2 * a[j] + a[d]) // (2 * a[d])
+                if j != d and q:
+                    a[j] -= q * a[d]
+                    v[j] = [x - q * y for x, y in zip(v[j], v[d])]
+                    w[d] = [x + q * y for x, y in zip(w[d], w[j])]
+            d += len(live) == 1
+        if d == n:
+            v = w = identity_matrix(n)
+            break
+    return (tuple(map(tuple, v[d:])), tuple(map(tuple, w[:d])),
+            tuple(tuple(c[i] for c in v[:d]) for i in range(n)))
+
+
 def polytope_coords(p: IntegralPolytope):
     """Full-dimensional model of P: (coords polytope in Z^d, chart).
 
     The chart's basis is a saturated basis of P's direction lattice, so
-    the coords polytope is full-dimensional in Z^d. At most three Smith
-    forms make the chart, whatever the number of vertices. For a point,
-    d = 0.
+    the coords polytope is full-dimensional in Z^d. One column reduction
+    of the direction vectors (`_lattice_chart`) makes the chart, whatever
+    the number of vertices. For a point, d = 0.
     """
-    n = p.rank
-    dirs = p.direction_vectors()
-    kernel = int_kernel(dirs) if dirs else identity_matrix(n)
-    basis = int_kernel(kernel) if kernel else identity_matrix(n)
-    d = len(basis)
-    # U basis^T V = [I 0], as every invariant factor of a saturated basis is 1
-    dec = snf(basis)
-    left = tuple(tuple(sum(dec.V[i][j] * dec.U[j][k] for j in range(d)) for k in range(d))
-                 for i in range(n))
-    chart = AffineChart(p.vertices[0], tuple(map(tuple, kernel)),
-                        tuple(map(tuple, basis)), left)
+    chart = AffineChart(p.vertices[0], *_lattice_chart(p.direction_vectors(), p.rank))
     coords = tuple(sorted(chart.coords(v) for v in p.vertices))
-    return IntegralPolytope(d, coords), chart
+    return IntegralPolytope(len(chart.basis), coords), chart

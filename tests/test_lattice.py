@@ -7,7 +7,7 @@ import pytest
 from gen import affine_rank, sublattice_sampler
 from polygroup import lattice
 from polygroup.exactlp import point_in_hull
-from polygroup.intlinalg import int_det, snf
+from polygroup.intlinalg import int_det, mat_mul, snf
 from polygroup.lattice import (
     AffineLatticeMap,
     GeometryError,
@@ -27,7 +27,7 @@ from polygroup.lattice import (
     subset,
     support,
 )
-from polygroup.vpolytope import find_translation_into
+from polygroup.vpolytope import VirtualPolytope, find_translation_into, leq
 
 
 def seg(a, b):
@@ -260,6 +260,26 @@ def test_facets_computed_once_per_polytope(monkeypatch):
                        for p in ps]
 
 
+def test_minkowski_sum_with_a_point(monkeypatch):
+    rng = random.Random(47)
+    q = hull([tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(8)])
+    s = hull([tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(4)])
+    origin = hull([(0, 0, 0)])
+    assert minkowski_sum(q, origin) is q and minkowski_sum(origin, q) is q
+    t = hull([(2, -1, 3)])
+    assert minkowski_sum(t, q) == minkowski_sum(q, t) == \
+        hull([tuple(a + b for a, b in zip(v, (2, -1, 3))) for v in q.vertices])
+    qs = minkowski_sum(q, s)
+    facet_description(qs)
+    calls = []
+    real = lattice.fulldim_facets
+    monkeypatch.setattr(lattice, "fulldim_facets",
+                        lambda vertices, d: calls.append(d) or real(vertices, d))
+    # qs + {0} is qs itself, so leq's translation search reads its cached facets
+    assert leq(VirtualPolytope.from_polytope(q), VirtualPolytope.from_polytope(qs))
+    assert calls == []
+
+
 def test_facet_normals_interval_and_square():
     eqs, ineqs = facet_description(seg(0, 1))
     data = {phi: c for phi, c in ineqs}
@@ -305,7 +325,11 @@ def test_pushforward():
     for _ in range(20):
         p = hull([tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(5)])
         lhs = pushforward(g, pushforward(f, p))
-        assert lhs == pushforward(g.compose(f), p)
+        # g after f: x -> (G F) x + (G b + c)
+        gb = mat_mul(g.matrix, [[b] for b in f.offset])
+        gf = AffineLatticeMap(tuple(map(tuple, mat_mul(g.matrix, f.matrix))),
+                              tuple(row[0] + c for row, c in zip(gb, g.offset)))
+        assert lhs == pushforward(gf, p)
 
 
 def test_cancellativity():
@@ -397,11 +421,13 @@ def test_facet_description_against_subset_enumeration_oracle():
 
 def test_affine_chart_in_sublattices():
     # points of a d-dimensional affine sublattice of Z^n whose generators
-    # are not a saturated basis, so the chart's basis must refine them
+    # are not a saturated basis, so the chart's basis must refine them;
+    # every chart entry stays within the Hadamard bound (sqrt(n) m)^dim,
+    # m the largest direction entry
     rng = random.Random(43)
-    for n in (3, 4):
+    for n in (3, 4, 5):
         for d in range(1, n):
-            for _ in range(8):
+            for _ in range(25):
                 gens, sample = sublattice_sampler(rng, n, d)
                 p = hull(sample(rng.randint(1, 6)))
                 dirs = p.direction_vectors()
@@ -411,6 +437,11 @@ def test_affine_chart_in_sublattices():
                 assert coords.rank == len(chart.basis) == dim
                 assert len(chart.kernel) == n - dim
                 assert all(dot(k, b) == 0 for k in chart.kernel for b in chart.basis)
+                assert all(dot(k, x) == 0 for k in chart.kernel for x in dirs)
+                m = max((abs(x) for x in itertools.chain(*dirs)), default=0)
+                assert all(e * e <= (n * m * m) ** dim
+                           for rows in (chart.kernel, chart.basis, chart.left)
+                           for row in rows for e in row)
                 assert coords.vertices == tuple(sorted(chart.coords(v) for v in p.vertices))
                 for v in p.vertices:
                     assert chart.embed(chart.coords(v)) == v

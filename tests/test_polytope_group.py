@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import time
 
@@ -6,7 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gen import random_genuine_pair, random_polytope, random_virtual, sublattice_sampler
-from polygroup.lattice import dot, facet_description, hull, minkowski_sum, reflect, subset, support
+from polygroup import jsonio
+from polygroup.cli import main
+from polygroup.lattice import (
+    dot,
+    face,
+    facet_description,
+    hull,
+    minkowski_sum,
+    reflect,
+    subset,
+    support,
+)
 from polygroup.vpolytope import (
     DecompositionError,
     RelativeMonoidResult,
@@ -223,13 +235,16 @@ def test_is_polytope_in_sublattices_rank3_and_rank4():
                 assert is_polytope(face_map(neg, cert)) is None
 
 
-@pytest.mark.parametrize("q_pts, s_pts", [
+SMITH_SWELL_REPRODUCERS = [
     ([(-7, 2, 5, 8), (-6, 11, 2, 5), (14, -9, -6, -1), (14, -7, -6, -2)],
      [(0, -2, 1, 5), (3, 1, 4, 2), (5, -4, -5, 3), (5, 2, -3, 1)]),
     ([(-13, 8, -2, 2), (-7, 18, 0, -1), (0, -1, 4, 1), (2, -5, 2, 8), (6, 8, -2, 6),
       (6, 14, -2, 7)],
      [(-1, -2, 2, 5), (2, -5, 2, 0)]),
-])
+]
+
+
+@pytest.mark.parametrize("q_pts, s_pts", SMITH_SWELL_REPRODUCERS)
 def test_is_polytope_smith_form_swell_reproducers(q_pts, s_pts):
     # per-face lattice charts stalled on these inputs, in Smith forms of
     # saturated bases with 7- and 8-digit entries; P = Q + S is
@@ -238,6 +253,38 @@ def test_is_polytope_smith_form_swell_reproducers(q_pts, s_pts):
     start = time.perf_counter()
     assert is_polytope(vp(minkowski_sum(q, s), q)) == s
     assert time.perf_counter() - start < 1.0
+
+
+def _swell_face():
+    """F, the facet of Q + S (second reproducer) for (312, -344, -1439, -1482).
+
+    A tetrahedron with coordinates of at most 18, whose Smith-form chart
+    had basis entries up to 34,723,728. Each call builds a new instance,
+    so no chart is cached yet.
+    """
+    q_pts, s_pts = SMITH_SWELL_REPRODUCERS[1]
+    return face(minkowski_sum(hull(q_pts), hull(s_pts)), (312, -344, -1439, -1482))
+
+
+@pytest.mark.parametrize("holds", [lambda f: subset(f, f), lambda f: leq(vp(f), vp(f))],
+                         ids=["subset", "leq"])
+def test_face_chart_swell_reproducer(holds):
+    # each ran past 20 s on F's Smith-form chart
+    f = _swell_face()
+    start = time.perf_counter()
+    assert holds(f) is True
+    assert time.perf_counter() - start < 0.1
+
+
+def test_face_chart_swell_reproducer_order(tmp_path, capsys):
+    x = jsonio.encode_virtual(vp(_swell_face()))
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps({"x": x, "y": x}))
+    start = time.perf_counter()
+    assert main(["order", str(path)]) == 0
+    assert time.perf_counter() - start < 0.1
+    result = json.loads(capsys.readouterr().out)
+    assert result["leq"] is True and result["geq"] is True
 
 
 def _difference_by_erosion(p, q):
