@@ -4,7 +4,9 @@ These are the coefficients of the twisted Laurent ring: rational
 functions in the k commuting fiber variables. Arithmetic is exact;
 fractions are kept as (numerator, denominator) pairs of Laurent
 polynomials and reduced by monomial content always, and by a full
-polynomial gcd (via sympy) once the term count passes a threshold.
+polynomial gcd once the term count passes a threshold. The gcd in
+`poly_gcd` is sympy's, the package's one use of sympy; exact division
+is native.
 """
 
 from __future__ import annotations
@@ -120,23 +122,17 @@ _SYM_CACHE: dict[int, tuple] = {}
 
 def _symbols(nvars: int):
     if nvars not in _SYM_CACHE:
-        _SYM_CACHE[nvars] = sympy.symbols(f"x1:{nvars + 1}") if nvars else ()
+        _SYM_CACHE[nvars] = sympy.symbols(f"x1:{nvars + 1}")
     return _SYM_CACHE[nvars]
 
 
 def _to_sympy_poly(p: LaurentPoly, shift):
-    gens = _symbols(p.nvars)
-    if p.nvars == 0:
-        return sympy.Rational(sum((c for _, c in p.terms), Fraction(0)))
     d = {tuple(a - b for a, b in zip(e, shift)): sympy.Rational(c.numerator, c.denominator)
          for e, c in p.terms}
-    return sympy.Poly.from_dict(d, *gens)
+    return sympy.Poly.from_dict(d, *_symbols(p.nvars))
 
 
 def _from_sympy_poly(poly, nvars: int) -> LaurentPoly:
-    if nvars == 0:
-        r = sympy.Rational(poly)
-        return LaurentPoly.const(0, Fraction(r.p, r.q))
     d = {}
     for e, c in poly.terms():
         r = sympy.Rational(c)
@@ -144,40 +140,41 @@ def _from_sympy_poly(poly, nvars: int) -> LaurentPoly:
     return LaurentPoly.from_dict(nvars, d)
 
 
-def _poly_gcd_reduce(num: LaurentPoly, den: LaurentPoly):
-    shift_n = num.min_exponents()
-    shift_d = den.min_exponents()
-    pn = _to_sympy_poly(num, shift_n)
-    pd = _to_sympy_poly(den, shift_d)
-    if num.nvars == 0:
-        return num, den
-    g = sympy.gcd(pn, pd)
-    if g == 1:
-        return num, den
-    qn = sympy.div(pn, g)[0]
-    qd = sympy.div(pd, g)[0]
-    return (_from_sympy_poly(sympy.Poly(qn, *_symbols(num.nvars)), num.nvars).shift(shift_n),
-            _from_sympy_poly(sympy.Poly(qd, *_symbols(num.nvars)), num.nvars).shift(shift_d))
-
-
 def poly_divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
-    """a / b when b divides a up to a monomial unit, else None."""
+    """a / b when b divides a up to a monomial unit, else None.
+
+    Shifted to exponents >= 0, a is divided by lex-leading terms. A
+    quotient exponent that would turn negative means b does not divide
+    a, and returning there is what stops the loop (lex division in the
+    Laurent ring never ends on 1 / (x - 1)).
+    """
     if b.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     if a.is_zero:
         return LaurentPoly.zero(a.nvars)
-    if a.nvars == 0:
-        return LaurentPoly.const(0, sum((c for _, c in a.terms), Fraction(0))
-                                 / sum((c for _, c in b.terms), Fraction(0)))
     if b.nterms() == 1:
         (e, c) = b.terms[0]
         return a.shift(tuple(-x for x in e)).scale(Fraction(1) / c)
     sa, sb = a.min_exponents(), b.min_exponents()
-    q, r = sympy.div(_to_sympy_poly(a, sa), _to_sympy_poly(b, sb))
-    if r != 0:
-        return None
-    out = _from_sympy_poly(sympy.Poly(q, *_symbols(a.nvars)), a.nvars)
-    return out.shift(tuple(x - y for x, y in zip(sa, sb)))
+    rem = {tuple(x - s for x, s in zip(e, sa)): c for e, c in a.terms}
+    rest = [(tuple(x - s for x, s in zip(e, sb)), c) for e, c in b.terms]
+    lead, lc = rest.pop()
+    q = {}
+    while rem:
+        e = max(rem)
+        qe = tuple(x - y for x, y in zip(e, lead))
+        if min(qe) < 0:
+            return None
+        qc = rem.pop(e) / lc
+        q[qe] = qc
+        for eb, cb in rest:
+            m = tuple(x + y for x, y in zip(qe, eb))
+            c = rem.get(m, 0) - qc * cb
+            if c:
+                rem[m] = c
+            else:
+                rem.pop(m, None)
+    return LaurentPoly.from_dict(a.nvars, q).shift(tuple(x - y for x, y in zip(sa, sb)))
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -215,23 +212,19 @@ class RationalFunction:
                                     LaurentPoly.const(num.nvars, 1))
         if (num.nterms() > GCD_TERM_THRESHOLD or den.nterms() > GCD_TERM_THRESHOLD) \
                 and den.nterms() > 1:
-            num, den = _poly_gcd_reduce(num, den)
+            g = poly_gcd(num, den)
+            num, den = poly_divide_exact(num, g), poly_divide_exact(den, g)
         # normalize: shift the denominator's monomial content into the
         # numerator, then make the denominator's lex-leading coefficient 1
+        # (a one-term denominator becomes the constant 1)
         shift = den.min_exponents()
         if any(shift):
             den = den.shift(tuple(-s for s in shift))
             num = num.shift(tuple(-s for s in shift))
-        if den.nterms() == 1 and num.nterms() >= 1:
-            # pure monomial denominator: fold it into the numerator
-            (e, c) = den.terms[0]
-            num = num.shift(tuple(-x for x in e)).scale(Fraction(1) / c)
-            den = LaurentPoly.const(num.nvars, 1)
-        else:
-            lc = den.leading()[1]
-            if lc != 1:
-                den = den.scale(Fraction(1) / lc)
-                num = num.scale(Fraction(1) / lc)
+        lc = den.leading()[1]
+        if lc != 1:
+            den = den.scale(Fraction(1) / lc)
+            num = num.scale(Fraction(1) / lc)
         return RationalFunction(num, den)
 
     @staticmethod

@@ -368,7 +368,13 @@ def _halve_polytope(z: IntegralPolytope):
 def decompose_antisymmetric(x: VirtualPolytope) -> IntegralPolytope:
     """A polytope Y with x = (Y - {0}) - (*Y - {0}) in the quotient.
 
-    Requires x to lie in the kernel of id + *.
+    Requires x to lie in the kernel of id + *. Y is Z / 2 for
+    Z = x.pos + *x.neg, which is integral exactly when all vertices of Z
+    have the same parity; in rank 2 Y may instead come from the edge
+    sequence. Adding a centrally symmetric box M = sum [-e_i, e_i] to Z
+    cannot help: the vertices of M all have one parity, so Z + M has
+    vertices of one parity only when Z does. In rank >= 3 a witness may
+    therefore exist and not be found.
     """
     if not pt_is_zero(vp_add(x, involution(x))):
         raise DecompositionError("not in kernel of id+*")
@@ -385,21 +391,6 @@ def decompose_antisymmetric(x: VirtualPolytope) -> IntegralPolytope:
             if m > 0:
                 res[d] = m
         y = polygon_from_edges(res)
-    if y is None:
-        # symmetric padding: try small centrally symmetric correctors
-        n = x.rank
-        segs = [hull([tuple(0 for _ in range(n)),
-                      tuple(1 if j == i else 0 for j in range(n))]) for i in range(n)]
-        for r in range(1, n + 1):
-            for combo in itertools.combinations(range(n), r):
-                m = origin_polytope(n)
-                for i in combo:
-                    m = minkowski_sum(m, minkowski_sum(segs[i], reflect(segs[i])))
-                y = _halve_polytope(minkowski_sum(z, m))
-                if y is not None:
-                    break
-            if y is not None:
-                break
     if y is None:
         raise DecompositionError("no integral antisymmetric witness found")
     wit = vp_sub(VirtualPolytope.from_polytope(y),

@@ -2,7 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from gen import HEISENBERG, random_matrix
+from polygroup import laurent
+from polygroup.grouprings import TwistedGroup
 from polygroup.laurent import (
     LaurentPoly,
     RationalFunction,
@@ -10,6 +14,8 @@ from polygroup.laurent import (
     poly_gcd,
     poly_lcm,
 )
+from polygroup.skewlaurent import dieudonne_det
+from polygroup.torsion import mapping_torus_complex, torsion_polytope
 
 
 def rand_poly(rng, nvars=2, nterms=3, box=2):
@@ -57,27 +63,65 @@ def test_substitute_matrix_is_hom():
         assert a.substitute_matrix(m).substitute_matrix(inv) == a
 
 
+def sympy_divide(a, b):
+    """a / b by sympy.div on a and b shifted to polynomials, or None."""
+    gens = sympy.symbols(f"x1:{a.nvars + 1}")
+    sa, sb = a.min_exponents(), b.min_exponents()
+
+    def poly(p, s):
+        return sympy.Poly.from_dict(
+            {tuple(x - y for x, y in zip(e, s)): sympy.Rational(c.numerator, c.denominator)
+             for e, c in p.terms}, *gens)
+
+    q, r = sympy.div(poly(a, sa), poly(b, sb))
+    if not r.is_zero:
+        return None
+    return LaurentPoly.from_dict(a.nvars, {
+        tuple(int(x) + y - z for x, y, z in zip(e, sa, sb)): Fraction(int(c.p), int(c.q))
+        for e, c in q.terms()})
+
+
 def test_divide_exact_and_gcd():
     rng = random.Random(3)
-    for _ in range(30):
-        a, b = rand_poly(rng), rand_poly(rng)
-        if b.is_zero:
-            continue
-        prod = a * b
-        if a.is_zero:
-            continue
-        q = poly_divide_exact(prod, b)
-        assert q is not None
-        assert q * b == prod
-        g = poly_gcd(prod, b)
-        assert poly_divide_exact(prod, g) is not None
-        assert poly_divide_exact(b, g) is not None
+    for nvars in (1, 2, 3):
+        for _ in range(30):
+            a, b = rand_poly(rng, nvars), rand_poly(rng, nvars, nterms=4)
+            if a.is_zero or b.is_zero:
+                continue
+            prod = a * b
+            q = poly_divide_exact(prod, b)
+            assert q == a
+            assert q == sympy_divide(prod, b)
+            g = poly_gcd(prod, b)
+            assert poly_divide_exact(prod, g) is not None
+            assert poly_divide_exact(b, g) is not None
+    # constants, with no variables at all
+    c3, c2 = LaurentPoly.const(0, 3), LaurentPoly.const(0, 2)
+    assert poly_divide_exact(c3, c2) == LaurentPoly.const(0, Fraction(3, 2))
+    assert poly_divide_exact(LaurentPoly.zero(0), c2).is_zero
+    assert poly_gcd(c3, c2) == LaurentPoly.const(0, 1)
+    with pytest.raises(ZeroDivisionError):
+        poly_divide_exact(c3, LaurentPoly.zero(0))
 
 
 def test_divide_exact_rejects_nondivisor():
     x = LaurentPoly.from_dict(1, {(1,): 1, (0,): -1})   # x - 1
     y = LaurentPoly.from_dict(1, {(1,): 1, (0,): 1})    # x + 1
     assert poly_divide_exact(x, y) is None
+    # in the Laurent ring lex division by x - 1 never ends on 1
+    assert poly_divide_exact(LaurentPoly.const(1, 1), x) is None
+    assert poly_divide_exact(LaurentPoly.monomial(1, (-3,)), x) is None
+    rng = random.Random(13)
+    rejected = 0
+    for nvars in (1, 2, 3):
+        for _ in range(40):
+            a, b = rand_poly(rng, nvars, nterms=5), rand_poly(rng, nvars)
+            if a.is_zero or b.is_zero:
+                continue
+            q = poly_divide_exact(a, b)
+            assert q == sympy_divide(a, b)
+            rejected += q is None
+    assert rejected >= 60
 
 
 def test_lcm():
@@ -144,3 +188,32 @@ def test_equal_rational_functions_hash_alike():
         b = RationalFunction.make(a.num * g, a.den * g)
         assert a == b
         assert hash(a) == hash(b)
+
+
+class _CountingSympy:
+    """laurent's view of sympy, counting its gcd and div calls."""
+
+    def __init__(self, sympy_module):
+        self._sympy = sympy_module
+        self.calls = {"gcd": 0, "div": 0}
+        for attr in self.calls:
+            setattr(self, attr, self._counted(attr, getattr(sympy_module, attr)))
+
+    def _counted(self, attr, fn):
+        def wrapper(*args, **kwargs):
+            self.calls[attr] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def __getattr__(self, attr):
+        return getattr(self._sympy, attr)
+
+
+def test_no_sympy_division(monkeypatch):
+    view = _CountingSympy(laurent.sympy)
+    monkeypatch.setattr(laurent, "sympy", view)
+    g = TwistedGroup.make(2, HEISENBERG)
+    assert dieudonne_det(random_matrix(g, random.Random(0), 3), g) is not None
+    assert torsion_polytope(mapping_torus_complex(HEISENBERG)).polytope.is_zero()
+    assert view.calls["gcd"] > 0
+    assert view.calls["div"] == 0

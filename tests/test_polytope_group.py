@@ -433,6 +433,19 @@ def test_decompose_rejects_non_kernel():
         decompose_antisymmetric(x)
 
 
+def test_decompose_without_halving_raises():
+    # Z = x.pos + *x.neg = 2T + (A + *A) has vertices of both parities,
+    # so it cannot be halved, and in rank 3 no other route is tried,
+    # although Y = T is a witness
+    t = hull([(0, 0, 0), (2, 1, 0), (1, 3, 1), (0, 1, 4)])
+    a = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    x = vp_sub(vp(minkowski_sum(t, a)), vp(minkowski_sum(reflect(t), a)))
+    assert pt_is_zero(vp_add(x, involution(x)))
+    assert pt_equal(x, vp_sub(vp(t), vp(reflect(t))))
+    with pytest.raises(DecompositionError, match="no integral antisymmetric witness found"):
+        decompose_antisymmetric(x)
+
+
 def test_kernel_equivalence_seminorm():
     rng = random.Random(12)
     for _ in range(15):

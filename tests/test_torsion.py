@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gen import HEISENBERG, SOL, random_acyclic_complex
 from polygroup.grouprings import GroupRingElement, TwistedGroup, h1_rank
@@ -122,6 +122,35 @@ def test_mapping_torus_torsion_vanishes():
     for twist in ([[1]], HEISENBERG, SOL):
         c = mapping_torus_complex(twist)
         r = torsion_polytope(c)
+        assert r.acyclic
+        assert r.polytope.is_zero()
+
+
+@st.composite
+def unimodular_twists(draw):
+    """A random A != I in GL(k, Z) for k = 1, 2, 3."""
+    k = draw(st.integers(1, 3))
+    if k == 1:
+        return [[-1]]
+    a = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.permutations(range(k)))[:2]
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    if draw(st.booleans()):
+        a[0] = [-x for x in a[0]]
+    assume(a != [[int(i == j) for j in range(k)] for i in range(k)])
+    return a
+
+
+@settings(max_examples=34, deadline=None, derandomize=True)
+@given(twist=unimodular_twists())
+def test_vanishing_for_nontrivial_twists(twist):
+    # the paper's vanishing theorem: Z^k x|_A Z with A != I has a
+    # non-abelian elementary amenable normal subgroup
+    c = mapping_torus_complex(twist)
+    for algorithm in (torsion_polytope, torsion_via_contraction):
+        r = algorithm(c)
         assert r.acyclic
         assert r.polytope.is_zero()
 
