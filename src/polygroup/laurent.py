@@ -1,18 +1,33 @@
-"""Multivariate Laurent polynomials and rational functions over Q.
+"""Multivariate Laurent polynomials with integer coefficients, and
+rational functions as pairs of them.
 
 These are the coefficients of the twisted Laurent ring: rational
-functions in the k commuting fiber variables. Arithmetic is exact;
-fractions are kept as (numerator, denominator) pairs of Laurent
-polynomials and reduced by monomial content always, and by a full
+functions in the k commuting fiber variables. A rational constant such
+as 1/2 lives in the pair, as (1, 2); no polynomial holds a fraction.
+
+A `LaurentPoly` keys its integer coefficients by one packed integer per
+monomial, the layout of Monagan and Pearce (J. Symbolic Comput. 46,
+2011). An exponent vector e is stored as e - lo, where lo is the
+polynomial's vector of minimal exponents, so every field is >= 0. The
+fields are `width` bits wide and the first variable is the most
+significant, so integer order on keys is lex order on monomials. The
+width depends only on the largest exponent span, and keeps every span
+below 2^(width - 1): the top bit of each field stays free. So a product
+packed at the width of its own span never carries across a field, and a
+difference of keys is tested field by field under a mask of those top
+bits, never by the sign of the packed integer.
+
+A pair is reduced by its integer content always, and by a full
 polynomial gcd once the term count passes a threshold. The gcd in
-`poly_gcd` is sympy's, the package's one use of sympy; exact division
-is native.
+`poly_gcd` is sympy's over ZZ, the package's one use of sympy; exact
+division is native.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
+from operator import add, mul, sub
 
 import sympy
 
@@ -20,34 +35,101 @@ GCD_TERM_THRESHOLD = 4
 
 Monomial = tuple[int, ...]
 
+_WIDTH0 = 15  # bits per field: two variables pack below 2^30
 
-@dataclass(frozen=True)
+
+def _width(span) -> int:
+    """Bits per field for exponent spans `span`: the least 15 * 2^j with
+    every span below 2^(width - 1)."""
+    top = max(span, default=0)
+    w = _WIDTH0
+    while top >> (w - 1):
+        w *= 2
+    return w
+
+
+def _shifts(n: int, w: int) -> range:
+    """Bit offsets of the n fields, most significant first."""
+    return range(w * (n - 1), -1, -w) if n else range(0)
+
+
+def _pack(fields, w: int) -> int:
+    key = 0
+    for x in fields:
+        key = (key << w) | x
+    return key
+
+
+def _unpack(key: int, n: int, w: int) -> list[int]:
+    mask = (1 << w) - 1
+    return [(key >> s) & mask for s in _shifts(n, w)]
+
+
+def _rekey(terms: dict, n: int, w: int, off, nw: int) -> dict:
+    """terms with every key's fields moved by off, repacked at width nw.
+    Every moved field must lie in [0, 2^(nw - 1))."""
+    if nw == w:
+        # packing is linear, so moving all fields is one signed addition
+        delta = sum(o << s for o, s in zip(off, _shifts(n, w)))
+        return {k + delta: c for k, c in terms.items()} if delta else terms
+    mask = (1 << w) - 1
+    shifts = list(zip(_shifts(n, w), off))
+    out = {}
+    for k, c in terms.items():
+        key = 0
+        for s, o in shifts:
+            key = (key << nw) | (((k >> s) & mask) + o)
+        out[key] = c
+    return out
+
+
+def _integer(c) -> int:
+    if type(c) is int:
+        return c
+    i = int(c)
+    if i != c:
+        raise ValueError(f"Laurent coefficients are integers, not {c!r}")
+    return i
+
+
 class LaurentPoly:
-    nvars: int
-    terms: tuple[tuple[Monomial, Fraction], ...]  # sorted by exponent
+    """A Laurent polynomial over Z in `nvars` variables.
+
+    `terms` maps the packed key of e - lo to the nonzero coefficient of
+    x^e; `lo` and `span` are the exact minimal exponents and the exponent
+    spans, and `width` = `_width(span)`. The representation is canonical,
+    and a polynomial is never changed after it is made.
+    """
+
+    __slots__ = ("nvars", "lo", "span", "width", "terms")
+
+    def __init__(self, nvars: int, lo: Monomial, span: Monomial, width: int,
+                 terms: dict):
+        self.nvars = nvars
+        self.lo = lo
+        self.span = span
+        self.width = width
+        self.terms = terms
 
     @staticmethod
     def from_dict(nvars: int, d: dict) -> "LaurentPoly":
-        items = tuple(sorted((tuple(e), Fraction(c)) for e, c in d.items() if c != 0))
-        return LaurentPoly(nvars, items)
+        """From {exponent: integer}."""
+        return _from_exponents(nvars, {tuple(e): _integer(c) for e, c in d.items()})
 
     @staticmethod
     def zero(nvars: int) -> "LaurentPoly":
-        return LaurentPoly(nvars, ())
+        return LaurentPoly(nvars, (0,) * nvars, (0,) * nvars, _WIDTH0, {})
 
     @staticmethod
     def const(nvars: int, c) -> "LaurentPoly":
-        c = Fraction(c)
-        if c == 0:
-            return LaurentPoly.zero(nvars)
-        return LaurentPoly(nvars, (((0,) * nvars, c),))
+        return LaurentPoly.monomial(nvars, (0,) * nvars, c)
 
     @staticmethod
     def monomial(nvars: int, exp, c=1) -> "LaurentPoly":
-        c = Fraction(c)
-        if c == 0:
+        c = _integer(c)
+        if not c:
             return LaurentPoly.zero(nvars)
-        return LaurentPoly(nvars, ((tuple(exp), c),))
+        return LaurentPoly(nvars, tuple(exp), (0,) * nvars, _WIDTH0, {0: c})
 
     @property
     def is_zero(self) -> bool:
@@ -56,65 +138,170 @@ class LaurentPoly:
     def nterms(self) -> int:
         return len(self.terms)
 
+    def items(self) -> list[tuple[Monomial, int]]:
+        """(exponent, coefficient) pairs in lex order."""
+        n, w, lo = self.nvars, self.width, self.lo
+        return [(tuple(map(add, _unpack(k, n, w), lo)), self.terms[k])
+                for k in sorted(self.terms)]
+
+    def min_exponents(self) -> Monomial:
+        return self.lo
+
+    def leading(self) -> tuple[Monomial, int]:
+        """(exponent, coefficient) of the lexicographically largest term."""
+        k = max(self.terms)
+        return tuple(map(add, _unpack(k, self.nvars, self.width), self.lo)), self.terms[k]
+
+    def __eq__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return (self.terms == other.terms and self.lo == other.lo
+                and self.width == other.width and self.nvars == other.nvars)
+
+    def __hash__(self):
+        return hash((self.nvars, self.lo, self.width, frozenset(self.terms.items())))
+
+    def __repr__(self):
+        return f"LaurentPoly({self.nvars}, {dict(self.items())!r})"
+
     def __add__(self, other):
-        d = dict(self.terms)
-        for e, c in other.terms:
-            nc = d.get(e, Fraction(0)) + c
-            if nc == 0:
-                d.pop(e, None)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        n = self.nvars
+        if self.lo == other.lo and self.width == other.width:
+            lo, w = self.lo, self.width
+            span = tuple(map(max, self.span, other.span))
+            ta, tb = self.terms, other.terms
+        else:
+            lo = tuple(map(min, self.lo, other.lo))
+            span = tuple(max(a + s, b + t) - m for a, s, b, t, m in
+                         zip(self.lo, self.span, other.lo, other.span, lo))
+            w = _width(span)
+            ta = _rekey(self.terms, n, self.width, tuple(map(sub, self.lo, lo)), w)
+            tb = _rekey(other.terms, n, other.width, tuple(map(sub, other.lo, lo)), w)
+        if len(ta) < len(tb):
+            ta, tb = tb, ta
+        d = dict(ta)
+        get = d.get
+        cancelled = False
+        for k, c in tb.items():
+            c += get(k, 0)
+            if c:
+                d[k] = c
             else:
-                d[e] = nc
-        return LaurentPoly(self.nvars, tuple(sorted(d.items())))
+                del d[k]
+                cancelled = True
+        if cancelled:
+            return _settle_bounds(n, lo, w, d)
+        return LaurentPoly(n, lo, span, w, d)
 
     def __neg__(self):
-        return LaurentPoly(self.nvars, tuple((e, -c) for e, c in self.terms))
+        return LaurentPoly(self.nvars, self.lo, self.span, self.width,
+                           {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if self.is_zero or other.is_zero:
-            return LaurentPoly.zero(self.nvars)
-        d = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                nc = d.get(e, Fraction(0)) + c1 * c2
-                if nc == 0:
-                    d.pop(e, None)
-                else:
-                    d[e] = nc
-        return LaurentPoly(self.nvars, tuple(sorted(d.items())))
-
-    def scale(self, c) -> "LaurentPoly":
-        c = Fraction(c)
-        if c == 0:
-            return LaurentPoly.zero(self.nvars)
-        return LaurentPoly(self.nvars, tuple((e, c * cc) for e, cc in self.terms))
-
-    def shift(self, exp) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, tuple(sorted(
-            (tuple(a + b for a, b in zip(e, exp)), c) for e, c in self.terms)))
+        ta, tb = self.terms, other.terms
+        n = self.nvars
+        if not ta or not tb:
+            return LaurentPoly.zero(n)
+        lo = tuple(map(add, self.lo, other.lo))
+        # a one-term factor has key 0: only lo and the coefficients move
+        if len(tb) == 1:
+            return LaurentPoly(n, lo, self.span, self.width, _times(ta, tb[0]))
+        if len(ta) == 1:
+            return LaurentPoly(n, lo, other.span, other.width, _times(tb, ta[0]))
+        # the extreme exponents of a product are sums of the factors' ones
+        span = tuple(map(add, self.span, other.span))
+        w = _width(span)
+        zero = (0,) * n
+        if self.width != w:
+            ta = _rekey(ta, n, self.width, zero, w)
+        if other.width != w:
+            tb = _rekey(tb, n, other.width, zero, w)
+        if len(ta) < len(tb):
+            ta, tb = tb, ta
+        d: dict = {}
+        get = d.get
+        tb = list(tb.items())
+        for ka, ca in ta.items():
+            for kb, cb in tb:
+                k = ka + kb
+                d[k] = get(k, 0) + ca * cb
+        if not all(d.values()):
+            d = {k: c for k, c in d.items() if c}
+        return LaurentPoly(n, lo, span, w, d)
 
     def substitute_matrix(self, m) -> "LaurentPoly":
         """Monomial substitution x^e -> x^(M e); a ring automorphism for
         unimodular M."""
-        d = {}
-        for e, c in self.terms:
-            ne = tuple(sum(m[i][j] * e[j] for j in range(self.nvars))
-                       for i in range(self.nvars))
-            d[ne] = d.get(ne, Fraction(0)) + c
-        return LaurentPoly.from_dict(self.nvars, d)
+        n = self.nvars
+        if not self.terms or m == _identity(n):
+            return self
+        if len(self.terms) == 1:
+            lo = tuple(sum(map(mul, row, self.lo)) for row in m)
+            return LaurentPoly(n, lo, self.span, self.width, self.terms)
+        mask, lo = (1 << self.width) - 1, self.lo
+        shifts = _shifts(n, self.width)
+        d: dict = {}
+        for k, c in self.terms.items():
+            e = [((k >> s) & mask) + l for s, l in zip(shifts, lo)]
+            ne = tuple(sum(map(mul, row, e)) for row in m)
+            d[ne] = d.get(ne, 0) + c
+        return _from_exponents(n, d)
 
-    def min_exponents(self):
-        return tuple(min(e[i] for e, _ in self.terms) for i in range(self.nvars))
 
-    def leading(self):
-        """(exponent, coefficient) of the lexicographically largest term."""
-        return self.terms[-1]
+_IDENTITY: dict[int, list] = {}
 
-    def support(self):
-        return [e for e, _ in self.terms]
+
+def _identity(n: int) -> list:
+    if n not in _IDENTITY:
+        _IDENTITY[n] = [[int(i == j) for j in range(n)] for i in range(n)]
+    return _IDENTITY[n]
+
+
+def _times(terms: dict, c: int) -> dict:
+    return terms if c == 1 else {k: v * c for k, v in terms.items()}
+
+
+def _from_exponents(n: int, d: dict) -> LaurentPoly:
+    """The polynomial of {exponent tuple: integer}, zeros dropped."""
+    if not all(d.values()):
+        d = {e: c for e, c in d.items() if c}
+    if not d:
+        return LaurentPoly.zero(n)
+    cols = list(zip(*d))
+    lo = tuple(map(min, cols))
+    span = tuple(max(col) - low for col, low in zip(cols, lo))
+    w = _width(span)
+    # packing is linear: the key of e - lo is pack(e) - pack(lo)
+    weights = [1 << s for s in _shifts(n, w)]
+    base = sum(map(mul, lo, weights))
+    return LaurentPoly(n, lo, span, w,
+                       {sum(map(mul, e, weights)) - base: c for e, c in d.items()})
+
+
+def _settle_bounds(n: int, lo, w: int, d: dict) -> LaurentPoly:
+    """The polynomial of keys d relative to lo at width w, after terms
+    cancelled: the exact minimal exponents and spans are read again."""
+    if not d:
+        return LaurentPoly.zero(n)
+    mask = (1 << w) - 1
+    mins, spans = [], []
+    for s in _shifts(n, w):
+        fields = [(k >> s) & mask for k in d]
+        low = min(fields)
+        mins.append(low)
+        spans.append(max(fields) - low)
+    span = tuple(spans)
+    nw = _width(span)
+    if any(mins) or nw != w:
+        d = _rekey(d, n, w, [-x for x in mins], nw)
+    return LaurentPoly(n, tuple(map(add, lo, mins)), span, nw, d)
 
 
 _SYM_CACHE: dict[int, tuple] = {}
@@ -126,70 +313,107 @@ def _symbols(nvars: int):
     return _SYM_CACHE[nvars]
 
 
-def _to_sympy_poly(p: LaurentPoly, shift):
-    d = {tuple(a - b for a, b in zip(e, shift)): sympy.Rational(c.numerator, c.denominator)
-         for e, c in p.terms}
-    return sympy.Poly.from_dict(d, *_symbols(p.nvars))
-
-
-def _from_sympy_poly(poly, nvars: int) -> LaurentPoly:
-    d = {}
-    for e, c in poly.terms():
-        r = sympy.Rational(c)
-        d[tuple(int(x) for x in e)] = Fraction(r.p, r.q)
-    return LaurentPoly.from_dict(nvars, d)
+def _to_sympy_poly(p: LaurentPoly):
+    """p shifted to exponents >= 0, as a sympy polynomial over ZZ."""
+    n, w = p.nvars, p.width
+    d = {tuple(_unpack(k, n, w)): c for k, c in p.terms.items()}
+    return sympy.Poly.from_dict(d, *_symbols(n), domain=sympy.ZZ)
 
 
 def poly_divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
-    """a / b when b divides a up to a monomial unit, else None.
+    """a / b when b divides a over Z up to a monomial unit, else None.
 
-    Shifted to exponents >= 0, a is divided by lex-leading terms. A
-    quotient exponent that would turn negative means b does not divide
-    a, and returning there is what stops the loop (lex division in the
-    Laurent ring never ends on 1 / (x - 1)).
+    Both are taken relative to their minimal exponents, and a is divided
+    by b's lex-leading term. A quotient q = a / b has minimal exponents
+    lo(a) - lo(b) and spans span(a) - span(b) (Newton polytopes add), so
+    a quotient exponent outside that box, or a quotient coefficient that
+    is not an integer, means b does not divide a. Returning there is
+    what stops the loop; inside the box every field stays below the
+    free top bit, so each field is tested under a mask.
     """
-    if b.is_zero:
+    if not b.terms:
         raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero:
-        return LaurentPoly.zero(a.nvars)
-    if b.nterms() == 1:
-        (e, c) = b.terms[0]
-        return a.shift(tuple(-x for x in e)).scale(Fraction(1) / c)
-    sa, sb = a.min_exponents(), b.min_exponents()
-    rem = {tuple(x - s for x, s in zip(e, sa)): c for e, c in a.terms}
-    rest = [(tuple(x - s for x, s in zip(e, sb)), c) for e, c in b.terms]
-    lead, lc = rest.pop()
+    n = a.nvars
+    if not a.terms:
+        return LaurentPoly.zero(n)
+    lo = tuple(map(sub, a.lo, b.lo))
+    if len(b.terms) == 1:
+        c = b.terms[0]
+        if c == 1:
+            return LaurentPoly(n, lo, a.span, a.width, a.terms)
+        q = {}
+        for k, v in a.terms.items():
+            x, r = divmod(v, c)
+            if r:
+                return None
+            q[k] = x
+        return LaurentPoly(n, lo, a.span, a.width, q)
+    span = tuple(map(sub, a.span, b.span))
+    if any(s < 0 for s in span):
+        return None
+    w = a.width
+    tb = b.terms if b.width == w else _rekey(b.terms, n, b.width, (0,) * n, w)
+    guard = _pack([1 << (w - 1)] * n, w)
+    box = _pack(span, w) + guard
+    lead = max(tb)
+    lc = tb[lead]
+    rest = [(k, c) for k, c in tb.items() if k != lead]
+    lead -= guard
+    rem = dict(a.terms)
+    heap = [-k for k in rem]
+    heapify(heap)
     q = {}
-    while rem:
-        e = max(rem)
-        qe = tuple(x - y for x, y in zip(e, lead))
-        if min(qe) < 0:
+    while heap:
+        e = -heappop(heap)
+        c = rem.pop(e, 0)
+        if not c:
+            continue                      # a key that cancelled
+        qe = e - lead                     # field i: e_i - lead_i + 2^(w-1)
+        if qe & guard != guard:
+            return None                   # some e_i < lead_i
+        qe -= guard
+        if (box - qe) & guard != guard:
+            return None                   # some qe_i > span_i
+        qc, r = divmod(c, lc)
+        if r:
             return None
-        qc = rem.pop(e) / lc
         q[qe] = qc
-        for eb, cb in rest:
-            m = tuple(x + y for x, y in zip(qe, eb))
-            c = rem.get(m, 0) - qc * cb
-            if c:
-                rem[m] = c
+        for kb, cb in rest:
+            k = qe + kb
+            v = rem.get(k)
+            if v is None:
+                rem[k] = -qc * cb
+                heappush(heap, -k)
             else:
-                rem.pop(m, None)
-    return LaurentPoly.from_dict(a.nvars, q).shift(tuple(x - y for x, y in zip(sa, sb)))
+                v -= qc * cb
+                if v:
+                    rem[k] = v
+                else:
+                    del rem[k]
+    nw = _width(span)
+    if nw != w:
+        q = _rekey(q, n, w, (0,) * n, nw)
+    return LaurentPoly(n, lo, span, nw, q)
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Gcd up to a monomial unit; gcd(0, b) = b."""
+    """Gcd over Z up to a monomial unit; gcd(0, b) = b. A monomial
+    operand gives 1, which is a gcd over Q."""
     if a.is_zero:
         return b
     if b.is_zero:
         return a
     if a.nvars == 0 or a.nterms() == 1 or b.nterms() == 1:
         return LaurentPoly.const(a.nvars, 1)
-    g = sympy.gcd(_to_sympy_poly(a, a.min_exponents()),
-                  _to_sympy_poly(b, b.min_exponents()))
-    if g == 1:
-        return LaurentPoly.const(a.nvars, 1)
-    return _from_sympy_poly(sympy.Poly(g, *_symbols(a.nvars)), a.nvars)
+    # most operands met in elimination divide one another
+    if poly_divide_exact(a, b) is not None:
+        return b
+    if poly_divide_exact(b, a) is not None:
+        return a
+    g = sympy.gcd(_to_sympy_poly(a), _to_sympy_poly(b))
+    if not isinstance(g, sympy.Poly):
+        g = sympy.Poly(g, *_symbols(a.nvars), domain=sympy.ZZ)
+    return _from_exponents(a.nvars, {e: int(c) for e, c in g.as_dict(native=True).items()})
 
 
 def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -198,10 +422,37 @@ def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return a * q
 
 
-@dataclass(frozen=True)
+def _settle(num: LaurentPoly, den: LaurentPoly) -> "RationalFunction":
+    """The normal form of num / den: the denominator's monomial content
+    moves into the numerator, the pair is divided by its integer content,
+    and the denominator's lex-leading coefficient is made positive."""
+    n = num.nvars
+    if any(den.lo):
+        num = LaurentPoly(n, tuple(map(sub, num.lo, den.lo)), num.span, num.width,
+                          num.terms)
+        den = LaurentPoly(n, (0,) * n, den.span, den.width, den.terms)
+    c = gcd(*num.terms.values(), *den.terms.values())
+    if den.terms[max(den.terms)] < 0:
+        c = -c
+    if c != 1:
+        num = LaurentPoly(n, num.lo, num.span, num.width,
+                          {k: v // c for k, v in num.terms.items()})
+        den = LaurentPoly(n, den.lo, den.span, den.width,
+                          {k: v // c for k, v in den.terms.items()})
+    return RationalFunction(num, den)
+
+
 class RationalFunction:
-    num: LaurentPoly
-    den: LaurentPoly
+    """num / den with num, den in Z[x^±1]: den has minimal exponents 0 and
+    a positive lex-leading coefficient, and no integer > 1 divides every
+    coefficient of both. The pair is reduced by a polynomial gcd when
+    either part has more than GCD_TERM_THRESHOLD terms."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentPoly, den: LaurentPoly):
+        self.num = num
+        self.den = den
 
     @staticmethod
     def make(num: LaurentPoly, den: LaurentPoly) -> "RationalFunction":
@@ -214,18 +465,7 @@ class RationalFunction:
                 and den.nterms() > 1:
             g = poly_gcd(num, den)
             num, den = poly_divide_exact(num, g), poly_divide_exact(den, g)
-        # normalize: shift the denominator's monomial content into the
-        # numerator, then make the denominator's lex-leading coefficient 1
-        # (a one-term denominator becomes the constant 1)
-        shift = den.min_exponents()
-        if any(shift):
-            den = den.shift(tuple(-s for s in shift))
-            num = num.shift(tuple(-s for s in shift))
-        lc = den.leading()[1]
-        if lc != 1:
-            den = den.scale(Fraction(1) / lc)
-            num = num.scale(Fraction(1) / lc)
-        return RationalFunction(num, den)
+        return _settle(num, den)
 
     @staticmethod
     def from_poly(p: LaurentPoly) -> "RationalFunction":
@@ -259,32 +499,46 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero rational function")
-        return RationalFunction.make(self.den, self.num)
+        # make's gcd would be 1: a pair past the threshold is reduced
+        # already, and a constant denominator shares no factor
+        return _settle(self.den, self.num)
 
     def __truediv__(self, other):
         return self * other.inverse()
 
     def substitute_matrix(self, m) -> "RationalFunction":
-        return RationalFunction.make(self.num.substitute_matrix(m),
-                                     self.den.substitute_matrix(m))
+        # a unimodular substitution keeps term counts and coprimality, so
+        # the pair needs only its normal form again, as in `inverse`
+        return _settle(self.num.substitute_matrix(m), self.den.substitute_matrix(m))
 
     def __eq__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return (self.num * other.den) == (other.num * self.den)
 
     def __hash__(self):
         # (num, den) is reduced by a gcd only past GCD_TERM_THRESHOLD
         # terms, so hash what a common factor g leaves alone: lex is a
         # monomial order, so the lex-leading term of num * g over that of
-        # den * g is the same for every g, and likewise the trailing term
+        # den * g is the same for every g, and likewise the trailing term;
+        # each coefficient ratio is hashed as a reduced integer pair
         if self.num.is_zero:
             return hash((self.nvars, 0))
+        num, den = self.num, self.den
         out = []
-        for k in (0, -1):
-            (en, cn), (ed, cd) = self.num.terms[k], self.den.terms[k]
-            out += [tuple(a - b for a, b in zip(en, ed)), cn / cd]
+        for pick in (min, max):
+            kn, kd = pick(num.terms), pick(den.terms)
+            en = map(add, _unpack(kn, num.nvars, num.width), num.lo)
+            ed = map(add, _unpack(kd, den.nvars, den.width), den.lo)
+            cn, cd = num.terms[kn], den.terms[kd]
+            g = gcd(cn, cd) if cd > 0 else -gcd(cn, cd)
+            out += [tuple(map(sub, en, ed)), cn // g, cd // g]
         return hash(tuple(out))
+
+    def __repr__(self):
+        return f"RationalFunction({self.num!r}, {self.den!r})"
 
     def nterms(self) -> int:
         return self.num.nterms() + self.den.nterms()

@@ -1,8 +1,10 @@
 """Skew Laurent polynomials over rational functions, and row reduction.
 
 Elements are finite sums sum_m c_m(x) u^m with rational-function
-coefficients; the variable u does not commute with the coefficients but
-conjugates them by the monomial substitution x^e -> x^(A e):
+coefficients, each a pair of Laurent polynomials over Z
+(`laurent.RationalFunction`); the variable u does not commute with the
+coefficients but conjugates them by the monomial substitution
+x^e -> x^(A e):
 
     u^m c(x) = c(x^(A^m)) u^m.
 
@@ -12,12 +14,18 @@ in a skew field of fractions. Euclidean left row reduction (`_eliminate`)
 is therefore enough to read off ranks over that skew field and
 Dieudonne determinant classes of matrices over the rational group ring
 of G = Z^k x| Z, without ever forming a fraction.
+
+Group ring elements have `Fraction` coefficients; they are converted at
+two boundaries only: `from_group_ring` scales each u-coefficient to
+integers, and `to_group_ring_pair` returns to `Fraction`s over a
+denominator with lex-leading coefficient 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .grouprings import (
     GroupRingElement,
@@ -49,8 +57,12 @@ class SkewLaurentPoly:
         by_m: dict[int, dict] = {}
         for (v, m), c in a.terms:
             by_m.setdefault(m, {})[v] = c
-        d = {m: RationalFunction.from_poly(LaurentPoly.from_dict(g.k, mono))
-             for m, mono in by_m.items()}
+        d = {}
+        for m, mono in by_m.items():
+            scale = lcm(*(c.denominator for c in mono.values()))
+            num = LaurentPoly.from_dict(g.k, {v: c.numerator * (scale // c.denominator)
+                                              for v, c in mono.items()})
+            d[m] = RationalFunction.make(num, LaurentPoly.const(g.k, scale))
         return SkewLaurentPoly.from_dict(g, d)
 
     @property
@@ -114,7 +126,9 @@ class SkewLaurentPoly:
     def to_group_ring_pair(self) -> tuple[GroupRingElement, GroupRingElement]:
         """Write self as d^{-1} N with N in QG and d a fiber Laurent polynomial.
 
-        Returns (N, d) as group ring elements, d supported in u-degree 0.
+        Returns (N, d) as group ring elements, d supported in u-degree 0:
+        d is the lcm over Z of the coefficient denominators, divided by
+        its lex-leading coefficient.
         """
         if self.is_zero:
             raise GroupRingError("zero element has no fraction form")
@@ -122,15 +136,15 @@ class SkewLaurentPoly:
         d_poly = LaurentPoly.const(k, 1)
         for _, c in self.coeffs:
             d_poly = poly_lcm(d_poly, c.den)
-        terms: dict = {}
+        lc = d_poly.leading()[1]
+        terms = {}
         for m, c in self.coeffs:
-            cof = poly_divide_exact(d_poly, c.den)
-            poly = c.num * cof
-            for e, q in poly.terms:
-                key = (e, m)
-                terms[key] = terms.get(key, Fraction(0)) + q
+            poly = c.num * poly_divide_exact(d_poly, c.den)
+            for e, q in poly.items():
+                terms[(e, m)] = Fraction(q, lc)
         num = GroupRingElement.from_dict(k, terms)
-        den = GroupRingElement.from_dict(k, {(e, 0): q for e, q in d_poly.terms})
+        den = GroupRingElement.from_dict(k, {(e, 0): Fraction(q, lc)
+                                             for e, q in d_poly.items()})
         return num, den
 
 
@@ -182,7 +196,7 @@ def _pivot_key(p: SkewLaurentPoly):
     return (p.span(), len(p.coeffs), p.nterms())
 
 
-def _eliminate(rows):
+def _eliminate(rows, full_rank=False):
     """Reduce a matrix of SkewLaurentPoly (a list of row lists) to row
     echelon form in place, by Euclidean left row reduction.
 
@@ -201,6 +215,8 @@ def _eliminate(rows):
 
     Returns (rank, labels, sign): rows[:rank] are the pivot rows, row i
     started as input row labels[i], and sign is the parity of the swaps.
+    With full_rank, a caller that only needs to know whether every column
+    has a pivot gets the partial result at the first column without one.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -212,6 +228,8 @@ def _eliminate(rows):
         while True:
             live = [i for i in range(rank, nrows) if not rows[i][col].is_zero]
             if not live:
+                if full_rank:
+                    return rank, labels, sign
                 break
             if len(live) == 1:
                 i = live[0]
@@ -243,7 +261,7 @@ def dieudonne_det(m, g: TwistedGroup):
     if any(len(row) != n for row in m):
         raise GroupRingError("determinant of a non-square matrix")
     rows = _matrix_to_skew(m, g)
-    rank, _, sign = _eliminate(rows)
+    rank, _, sign = _eliminate(rows, full_rank=True)
     if rank < n:
         return None
     num = GroupRingElement.one(g.k)

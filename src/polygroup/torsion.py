@@ -158,7 +158,7 @@ def _choose_subsets(c: BasedChainComplex, rng: random.Random | None):
         if rng is not None:
             rng.shuffle(order)
         rows = _matrix_to_skew([[mat[i][j] for j in cols] for i in order], g)
-        rank, labels, _ = _eliminate(rows)
+        rank, labels, _ = _eliminate(rows, full_rank=True)
         if rank != len(cols):
             return None
         r[n - 1] = sorted(order[t] for t in labels[:rank])

@@ -392,7 +392,8 @@ def decompose_antisymmetric(x: VirtualPolytope) -> IntegralPolytope:
                 res[d] = m
         y = polygon_from_edges(res)
     if y is None:
-        raise DecompositionError("no integral antisymmetric witness found")
+        raise DecompositionError("halving found no integral antisymmetric witness; "
+                                 "in rank >= 3 one may still exist")
     wit = vp_sub(VirtualPolytope.from_polytope(y),
                  VirtualPolytope.from_polytope(reflect(y)))
     if not pt_equal(x, wit):

@@ -228,3 +228,85 @@ def sublattice_sampler(rng: random.Random, n: int, d: int, spread: int = 2):
         return out
 
     return gens, sample
+
+
+# A naive Laurent polynomial oracle: {exponent tuple: Fraction}, with
+# tuple exponents of any sign and no packing, to check polygroup.laurent.
+
+def oracle_add(a: dict, b: dict) -> dict:
+    out = {e: Fraction(c) for e, c in a.items()}
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + Fraction(c1) * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_substitute(a: dict, m) -> dict:
+    """x^e -> x^(M e)."""
+    out: dict = {}
+    for e, c in a.items():
+        ne = tuple(sum(row[j] * e[j] for j in range(len(e))) for row in m)
+        out[ne] = out.get(ne, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_divide(a: dict, b: dict):
+    """a / b over Z as {exponent: int}, or None when it is no Laurent
+    polynomial over Z.
+
+    Lex division over Q of tuples. A quotient q has min_i q = min_i a -
+    min_i b and max_i q = max_i a - max_i b (Newton polytopes add), so a
+    quotient exponent outside that box ends the division with None.
+    """
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not a:
+        return {}
+    n = len(next(iter(b)))
+    low = [min(e[i] for e in a) - min(e[i] for e in b) for i in range(n)]
+    high = [max(e[i] for e in a) - max(e[i] for e in b) for i in range(n)]
+    lead = max(b)
+    rem = {e: Fraction(c) for e, c in a.items()}
+    q = {}
+    while rem:
+        e = max(rem)
+        qe = tuple(x - y for x, y in zip(e, lead))
+        if any(not lo <= x <= hi for x, lo, hi in zip(qe, low, high)):
+            return None
+        qc = rem[e] / b[lead]
+        q[qe] = qc
+        for eb, cb in b.items():
+            t = tuple(x + y for x, y in zip(qe, eb))
+            c = rem.get(t, Fraction(0)) - qc * cb
+            if c:
+                rem[t] = c
+            else:
+                rem.pop(t, None)
+    if any(c.denominator != 1 for c in q.values()):
+        return None
+    return {e: int(c) for e, c in q.items()}
+
+
+def unimodular_matrix(rng: random.Random, n: int):
+    """A product of elementary, sign and swap matrices, with entries of
+    both signs."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        if n < 2:
+            break
+        i, j = rng.sample(range(n), 2)
+        f = rng.choice([-3, -2, -1, 1, 2, 3])
+        m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+    for i in range(n):
+        if rng.random() < 0.5:
+            m[i] = [-x for x in m[i]]
+    rng.shuffle(m)
+    return m

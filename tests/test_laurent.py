@@ -1,10 +1,21 @@
+import ast
+import math
+import inspect
 import random
-from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
-from gen import HEISENBERG, random_matrix
+from gen import (
+    HEISENBERG,
+    oracle_add,
+    oracle_divide,
+    oracle_mul,
+    oracle_substitute,
+    random_matrix,
+    unimodular_matrix,
+)
 from polygroup import laurent
 from polygroup.grouprings import TwistedGroup
 from polygroup.laurent import (
@@ -22,7 +33,7 @@ def rand_poly(rng, nvars=2, nterms=3, box=2):
     d = {}
     for _ in range(rng.randint(1, nterms)):
         e = tuple(rng.randint(-box, box) for _ in range(nvars))
-        d[e] = Fraction(rng.choice([-2, -1, 1, 2]))
+        d[e] = rng.choice([-2, -1, 1, 2])
     return LaurentPoly.from_dict(nvars, d)
 
 
@@ -64,20 +75,20 @@ def test_substitute_matrix_is_hom():
 
 
 def sympy_divide(a, b):
-    """a / b by sympy.div on a and b shifted to polynomials, or None."""
+    """a / b by sympy.div over ZZ on a and b shifted to polynomials, or None."""
     gens = sympy.symbols(f"x1:{a.nvars + 1}")
     sa, sb = a.min_exponents(), b.min_exponents()
 
     def poly(p, s):
         return sympy.Poly.from_dict(
-            {tuple(x - y for x, y in zip(e, s)): sympy.Rational(c.numerator, c.denominator)
-             for e, c in p.terms}, *gens)
+            {tuple(x - y for x, y in zip(e, s)): c for e, c in p.items()},
+            *gens, domain=sympy.ZZ)
 
-    q, r = sympy.div(poly(a, sa), poly(b, sb))
+    q, r = sympy.div(poly(a, sa), poly(b, sb), auto=False)   # over ZZ, not QQ
     if not r.is_zero:
         return None
     return LaurentPoly.from_dict(a.nvars, {
-        tuple(int(x) + y - z for x, y, z in zip(e, sa, sb)): Fraction(int(c.p), int(c.q))
+        tuple(int(x) + y - z for x, y, z in zip(e, sa, sb)): int(c)
         for e, c in q.terms()})
 
 
@@ -97,7 +108,8 @@ def test_divide_exact_and_gcd():
             assert poly_divide_exact(b, g) is not None
     # constants, with no variables at all
     c3, c2 = LaurentPoly.const(0, 3), LaurentPoly.const(0, 2)
-    assert poly_divide_exact(c3, c2) == LaurentPoly.const(0, Fraction(3, 2))
+    assert poly_divide_exact(c3, c2) is None           # 3 / 2 is not over Z
+    assert poly_divide_exact(c3, c3) == LaurentPoly.const(0, 1)
     assert poly_divide_exact(LaurentPoly.zero(0), c2).is_zero
     assert poly_gcd(c3, c2) == LaurentPoly.const(0, 1)
     with pytest.raises(ZeroDivisionError):
@@ -217,3 +229,115 @@ def test_no_sympy_division(monkeypatch):
     assert torsion_polytope(mapping_torus_complex(HEISENBERG)).polytope.is_zero()
     assert view.calls["gcd"] > 0
     assert view.calls["div"] == 0
+
+
+def _dict(p):
+    return dict(p.items())
+
+
+_NEAR_2_14 = sorted({(1 << j) // k + d for j in range(12, 17) for k in (1, 2, 3, 4)
+                     for d in (-1, 0, 1)})
+
+
+@st.composite
+def _kernel_cases(draw):
+    """Two polynomials in 0-5 variables with exponents up to +-2^20, and
+    a unimodular matrix.
+
+    In variable i the exponents are off_i + stride_i * t: a's t run over
+    [0, ta_i] and b's over [0, tb_i], both ends taken, so lex division
+    visits few monomials. Strides near 2^j / k put the spans of a, b and
+    a * b on both sides of 2^13 and 2^14, where 15-bit fields with a free
+    top bit run out of room.
+    """
+    n = draw(st.integers(0, 5))
+    off = [draw(st.integers(-2**18, 2**18)) for _ in range(n)]
+    stride = [draw(st.sampled_from(_NEAR_2_14) | st.integers(1, 2**17)) for _ in range(n)]
+    coeff = st.integers(-3, 3).filter(bool) | st.integers(-2**70, 2**70).filter(bool)
+
+    def poly(maxterms, maxt):
+        tops = [draw(st.integers(0, maxt)) for _ in range(n)]
+        d = {}
+        for j in range(draw(st.integers(1, maxterms))):
+            t = [0 if j == 0 else top if j == 1 else draw(st.integers(0, top))
+                 for top in tops]
+            d[tuple(o + s * x for o, s, x in zip(off, stride, t))] = draw(coeff)
+        return d
+
+    m = unimodular_matrix(random.Random(draw(st.integers(0, 2**32))), n)
+    return n, poly(4, 4), poly(3, 2), m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_kernel_cases())
+def test_kernel_matches_oracle(case):
+    n, da, db, m = case
+    a, b = LaurentPoly.from_dict(n, da), LaurentPoly.from_dict(n, db)
+    assert _dict(a) == da and _dict(b) == db
+    # results are compared as dicts and in the canonical representation
+    for got, want in ((a + b, oracle_add(da, db)),
+                      (a - b, oracle_add(da, {e: -c for e, c in db.items()})),
+                      (a * b, oracle_mul(da, db)),
+                      (a.substitute_matrix(m), oracle_substitute(da, m)),
+                      (b.substitute_matrix(m), oracle_substitute(db, m))):
+        assert _dict(got) == want
+        assert got == LaurentPoly.from_dict(n, want)
+    if a.is_zero or b.is_zero:
+        return
+    prod = a * b
+    assert poly_divide_exact(prod, b) == a
+    assert poly_divide_exact(prod, a) == b
+    # non-divisors: a random a, and a product off by one monomial
+    bump = oracle_add(_dict(prod), {max(da): 1})
+    for num in (da, bump):
+        want = oracle_divide(num, db)
+        got = poly_divide_exact(LaurentPoly.from_dict(n, num), b)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert _dict(got) == want
+
+
+def test_divide_exact_over_z():
+    assert poly_divide_exact(LaurentPoly.const(0, 3), LaurentPoly.const(0, 2)) is None
+    x = LaurentPoly.from_dict(1, {(1,): 1, (0,): -1})                # x - 1
+    two_x = LaurentPoly.from_dict(1, {(1,): 2, (0,): -2})            # 2x - 2
+    assert poly_divide_exact(two_x, x) == LaurentPoly.const(1, 2)
+    assert poly_divide_exact(x, two_x) is None     # 1/2 is no coefficient over Z
+    assert poly_divide_exact(two_x * x, two_x) == x
+
+
+def test_make_normal_form_over_z():
+    rng = random.Random(21)
+    for _ in range(60):
+        f = rand_rf(rng)
+        if f.is_zero:
+            continue
+        (_, lc) = f.den.leading()
+        assert lc > 0
+        assert f.den.min_exponents() == (0, 0)
+        coeffs = [c for _, c in f.num.items()] + [c for _, c in f.den.items()]
+        assert math.gcd(*coeffs) == 1
+    x = LaurentPoly.from_dict(1, {(1,): 1, (0,): -1})
+    c = LaurentPoly.const
+    half = RationalFunction.make(c(1, 1), c(1, 2))
+    assert half.num == c(1, 1) and half.den == c(1, 2)
+    same = [half, RationalFunction.make(c(1, 2), c(1, 4)),
+            RationalFunction.make(x * c(1, 2), x * c(1, 4)),
+            RationalFunction.make(x * c(1, -2), x * c(1, -4))]
+    for f in same:
+        assert f == half
+        assert hash(f) == hash(half)
+    assert RationalFunction.make(x * c(1, -2), x * c(1, -4)).den.leading()[1] > 0
+    assert RationalFunction.make(c(1, 1), c(1, 3)) != half
+
+
+def test_laurent_imports_no_fractions():
+    tree = ast.parse(inspect.getsource(laurent))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "fractions" not in imported
+    assert "Fraction" not in vars(laurent)

@@ -442,7 +442,7 @@ def test_decompose_without_halving_raises():
     x = vp_sub(vp(minkowski_sum(t, a)), vp(minkowski_sum(reflect(t), a)))
     assert pt_is_zero(vp_add(x, involution(x)))
     assert pt_equal(x, vp_sub(vp(t), vp(reflect(t))))
-    with pytest.raises(DecompositionError, match="no integral antisymmetric witness found"):
+    with pytest.raises(DecompositionError, match="halving found no integral antisymmetric witness"):
         decompose_antisymmetric(x)
 
 
