@@ -19,17 +19,16 @@ bits, never by the sign of the packed integer.
 
 A pair is reduced by its integer content always, and by a full
 polynomial gcd once the term count passes a threshold. The gcd in
-`poly_gcd` is sympy's over ZZ, the package's one use of sympy; exact
-division is native.
+`poly_gcd` is native GCDHEU over Z, each candidate accepted only when
+exact division confirms it; the package needs no sympy.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, isqrt
 from operator import add, mul, sub
-
-import sympy
+from types import SimpleNamespace
 
 GCD_TERM_THRESHOLD = 4
 
@@ -304,22 +303,6 @@ def _settle_bounds(n: int, lo, w: int, d: dict) -> LaurentPoly:
     return LaurentPoly(n, tuple(map(add, lo, mins)), span, nw, d)
 
 
-_SYM_CACHE: dict[int, tuple] = {}
-
-
-def _symbols(nvars: int):
-    if nvars not in _SYM_CACHE:
-        _SYM_CACHE[nvars] = sympy.symbols(f"x1:{nvars + 1}")
-    return _SYM_CACHE[nvars]
-
-
-def _to_sympy_poly(p: LaurentPoly):
-    """p shifted to exponents >= 0, as a sympy polynomial over ZZ."""
-    n, w = p.nvars, p.width
-    d = {tuple(_unpack(k, n, w)): c for k, c in p.terms.items()}
-    return sympy.Poly.from_dict(d, *_symbols(n), domain=sympy.ZZ)
-
-
 def poly_divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     """a / b when b divides a over Z up to a monomial unit, else None.
 
@@ -396,9 +379,116 @@ def poly_divide_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     return LaurentPoly(n, lo, span, nw, q)
 
 
+HEU_TRIES = 6              # evaluation points before GCDHEU gives up
+HEU_BITS = 1 << 20         # nor may an evaluated integer pass this size
+
+
+def _heu_gcd(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
+    """GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989):
+    the gcd in Z[x] of f and g taken relative to their minimal exponents,
+    with minimal exponents 0 and a positive lex-leading coefficient; None
+    when it gives up.
+
+    The last variable is evaluated at xi, the gcd of the images is found
+    by recursion down to integers, and a candidate is read back by
+    symmetric xi-adic expansion. Its primitive part is the gcd when it
+    divides both operands, so exact division decides; otherwise xi
+    grows as in sympy's heugcd, HEU_TRIES times at most.
+
+    The recursion drops the images' monomial content. xi exceeds 1 + |p|
+    for the operand p of smaller norm, so by Cauchy's root bound no part
+    of p free of some variable vanishes at xi: p's image has no monomial
+    content to share.
+    """
+    n = f.nvars
+    ft, gt = f.terms, g.terms
+    cf, cg = gcd(*ft.values()), gcd(*gt.values())
+    c = gcd(cf, cg)
+    if len(ft) == 1 or len(gt) == 1:
+        return LaurentPoly.const(n, c)
+    zero = (0,) * n
+    # the operands at the gcd's scale: primitive, with no monomial content
+    f = LaurentPoly(n, zero, f.span, f.width,
+                    ft if cf == 1 else {k: v // cf for k, v in ft.items()})
+    g = LaurentPoly(n, zero, g.span, g.width,
+                    gt if cg == 1 else {k: v // cg for k, v in gt.items()})
+    w = max(f.width, g.width)
+    ft, gt = _rekey(f.terms, n, f.width, zero, w), _rekey(g.terms, n, g.width, zero, w)
+    norms = [max(map(abs, t.values())) for t in (ft, gt)]
+    top = min(f.span[-1], g.span[-1])      # the gcd's degree in the last variable
+    xi = 2 * min(norms) + 29
+    for _ in range(HEU_TRIES):
+        # an image's coefficients have about |f| * xi^deg bits
+        if max(norms).bit_length() + max(f.span[-1], g.span[-1]) * xi.bit_length() \
+                > HEU_BITS:
+            return None
+        ff, gg = _evaluate_last(ft, n, w, xi), _evaluate_last(gt, n, w, xi)
+        if ff.terms and gg.terms:
+            h = _heu_gcd(ff, gg)
+            if h is None:
+                return None
+            h = _interpolate(h, n, w, xi, top)
+            if h is not None and poly_divide_exact(f, h) is not None \
+                    and poly_divide_exact(g, h) is not None:
+                return h if c == 1 else LaurentPoly(n, zero, h.span, h.width,
+                                                    _times(h.terms, c))
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _evaluate_last(terms: dict, n: int, w: int, xi: int) -> LaurentPoly:
+    """The polynomial of keys `terms` at width w, relative to exponents 0,
+    with its last variable set to xi."""
+    mask = (1 << w) - 1
+    powers: dict = {}
+    d: dict = {}
+    get = d.get
+    for k, c in terms.items():
+        e = k & mask
+        p = powers.get(e)
+        if p is None:
+            p = powers[e] = xi ** e
+        k >>= w
+        d[k] = get(k, 0) + c * p
+    if not all(d.values()):
+        d = {k: c for k, c in d.items() if c}
+    return _settle_bounds(n - 1, (0,) * (n - 1), w, d)
+
+
+def _interpolate(h: LaurentPoly, n: int, w: int, xi: int, top: int):
+    """The primitive part, with a positive lex-leading coefficient, of the
+    polynomial in n variables whose value at x_n = xi is h, read by
+    symmetric xi-adic expansion of each coefficient; None when that
+    needs a degree above `top`, as no gcd of the operands can."""
+    half = xi >> 1
+    out = {}
+    for k, c in _rekey(h.terms, n - 1, h.width, (0,) * (n - 1), w).items():
+        k <<= w
+        for i in range(top + 1):
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[k | i] = r
+            c = (c - r) // xi
+            if not c:
+                break
+        else:
+            return None
+    p = _settle_bounds(n, (0,) * n, w, out)
+    c = gcd(*p.terms.values())
+    if p.terms[max(p.terms)] < 0:
+        c = -c
+    if c == 1:
+        return p
+    return LaurentPoly(n, p.lo, p.span, p.width, {k: v // c for k, v in p.terms.items()})
+
+
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Gcd over Z up to a monomial unit; gcd(0, b) = b. A monomial
-    operand gives 1, which is a gcd over Q."""
+    operand gives 1, which is a gcd over Q. When GCDHEU gives up the
+    result is 1: still a common divisor, so a pair it reduces stays
+    correct but unreduced."""
     if a.is_zero:
         return b
     if b.is_zero:
@@ -410,16 +500,31 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return b
     if poly_divide_exact(b, a) is not None:
         return a
-    g = sympy.gcd(_to_sympy_poly(a), _to_sympy_poly(b))
-    if not isinstance(g, sympy.Poly):
-        g = sympy.Poly(g, *_symbols(a.nvars), domain=sympy.ZZ)
-    return _from_exponents(a.nvars, {e: int(c) for e, c in g.as_dict(native=True).items()})
+    g = _heu_gcd(a, b)
+    return LaurentPoly.const(a.nvars, 1) if g is None else g
 
 
 def poly_lcm(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     g = poly_gcd(a, b)
     q = poly_divide_exact(b, g)
     return a * q
+
+
+def _sympy_gcd(*args, **kwargs):
+    import sympy
+    return sympy.gcd(*args, **kwargs)
+
+
+def _sympy_div(*args, **kwargs):
+    import sympy
+    return sympy.div(*args, **kwargs)
+
+
+# Only the benchmark's tracer uses this: it wraps `sympy.gcd` and
+# `sympy.div` here as layers. Nothing in the package calls them, and
+# each imports sympy only when called. The next benchmark change drops
+# this namespace together with the tracer's SYMPY_LAYERS.
+sympy = SimpleNamespace(gcd=_sympy_gcd, div=_sympy_div)
 
 
 def _settle(num: LaurentPoly, den: LaurentPoly) -> "RationalFunction":

@@ -1,11 +1,15 @@
 import ast
-import math
 import inspect
+import json
+import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gen import (
     HEISENBERG,
@@ -74,17 +78,18 @@ def test_substitute_matrix_is_hom():
         assert a.substitute_matrix(m).substitute_matrix(inv) == a
 
 
+def _sympy_poly(p, gens):
+    """p shifted to exponents >= 0, as a sympy polynomial over ZZ."""
+    lo = p.min_exponents()
+    return sympy.Poly.from_dict({tuple(x - y for x, y in zip(e, lo)): c for e, c in p.items()},
+                                *gens, domain=sympy.ZZ)
+
+
 def sympy_divide(a, b):
     """a / b by sympy.div over ZZ on a and b shifted to polynomials, or None."""
     gens = sympy.symbols(f"x1:{a.nvars + 1}")
     sa, sb = a.min_exponents(), b.min_exponents()
-
-    def poly(p, s):
-        return sympy.Poly.from_dict(
-            {tuple(x - y for x, y in zip(e, s)): c for e, c in p.items()},
-            *gens, domain=sympy.ZZ)
-
-    q, r = sympy.div(poly(a, sa), poly(b, sb), auto=False)   # over ZZ, not QQ
+    q, r = sympy.div(_sympy_poly(a, gens), _sympy_poly(b, gens), auto=False)   # over ZZ, not QQ
     if not r.is_zero:
         return None
     return LaurentPoly.from_dict(a.nvars, {
@@ -227,8 +232,131 @@ def test_no_sympy_division(monkeypatch):
     g = TwistedGroup.make(2, HEISENBERG)
     assert dieudonne_det(random_matrix(g, random.Random(0), 3), g) is not None
     assert torsion_polytope(mapping_torus_complex(HEISENBERG)).polytope.is_zero()
-    assert view.calls["gcd"] > 0
+    assert view.calls["gcd"] == 0
     assert view.calls["div"] == 0
+
+
+_NO_SYMPY_SCRIPT = """
+import json, sys
+import polygroup, polygroup.cli
+from polygroup import laurent
+calls = [0]
+heu = laurent._heu_gcd
+def counted(f, g):
+    calls[0] += 1
+    return heu(f, g)
+laurent._heu_gcd = counted
+torus, out = sys.argv[1], sys.argv[2]
+codes = [polygroup.cli.main(["demo", "--output", out]),
+         polygroup.cli.main(["mapping-torus", "--twist", "[[1, 0, 0], [-1, 1, 1], [-1, 0, 1]]",
+                             "--output", torus]),
+         polygroup.cli.main(["torsion", "--oracle", torus, "--output", out])]
+print(json.dumps({"codes": codes, "heu_calls": calls[0], "sympy": "sympy" in sys.modules}))
+"""
+
+
+def test_package_never_imports_sympy(tmp_path):
+    # a fresh interpreter: this test process has imported sympy itself
+    src = os.path.dirname(os.path.dirname(os.path.abspath(laurent.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _NO_SYMPY_SCRIPT,
+                           str(tmp_path / "torus.json"), str(tmp_path / "out.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0, 0]
+    # the oracle run of this k = 3 torus reaches the polynomial gcd
+    assert report["heu_calls"] > 0
+    assert report["sympy"] is False
+
+
+def _sympy_gcd(a, b):
+    """gcd(a, b) by sympy over ZZ, on a and b shifted to polynomials."""
+    n = a.nvars
+    gens = sympy.symbols(f"x1:{n + 1}")
+    h = sympy.gcd(_sympy_poly(a, gens), _sympy_poly(b, gens))
+    if not isinstance(h, sympy.Poly):
+        h = sympy.Poly(h, *gens, domain=sympy.ZZ)
+    return LaurentPoly.from_dict(n, {e: int(c) for e, c in h.as_dict(native=True).items()})
+
+
+def _up_to_unit(p):
+    """p divided by a unit of Z[x^+-1]: minimal exponents 0 and a positive
+    lex-leading coefficient."""
+    lo = p.min_exponents()
+    sign = 1 if p.leading()[1] > 0 else -1
+    return LaurentPoly.from_dict(p.nvars, {tuple(x - y for x, y in zip(e, lo)): sign * c
+                                           for e, c in p.items()})
+
+
+@st.composite
+def _gcd_cases(draw):
+    """(a * g, b * g) or a pair (a, b), in 1-5 variables with negative
+    exponents and coefficients up to 2^40. The exponent box narrows as
+    variables are added: GCDHEU's integers grow as the product of the
+    degrees."""
+    n = draw(st.integers(1, 5))
+    box = (6, 4, 2, 1, 1)[n - 1]
+    coeff = st.integers(-3, 3).filter(bool) | st.integers(-2**40, 2**40).filter(bool)
+
+    def poly(minterms, maxterms):
+        d = {}
+        for _ in range(draw(st.integers(minterms, maxterms))):
+            d[tuple(draw(st.integers(-box, box)) for _ in range(n))] = draw(coeff)
+        return d
+
+    a, b = poly(1, 4), poly(1, 4)
+    g = poly(2, 4) if draw(st.booleans()) else None
+    return n, a, b, g
+
+
+# Dieudonne seed 0 of the benchmark: sparse, of high degree and coprime,
+# GCDHEU's weak case, where its evaluated integers reach about 380k bits
+_SPARSE_PAIR = (2,
+                {(0, 0): -2, (71, 47): 2048, (146, 91): -512, (162, 102): -2048,
+                 (201, 127): -32768},
+                {(0, 0): 1, (55, 36): 128, (146, 91): 128, (201, 127): 16384},
+                None)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(case=_gcd_cases())
+@example(case=_SPARSE_PAIR)
+def test_gcd_matches_sympy(case):
+    n, da, db, dg = case
+    a, b = LaurentPoly.from_dict(n, da), LaurentPoly.from_dict(n, db)
+    if dg is not None:
+        g = LaurentPoly.from_dict(n, dg)
+        a, b = a * g, b * g
+    if a.is_zero or b.is_zero:
+        return
+    got, want = poly_gcd(a, b), _sympy_gcd(a, b)
+    if a.nterms() == 1 or b.nterms() == 1:
+        # a monomial operand gives 1, a gcd over Q; over Z it is a constant
+        assert want.nterms() == 1 and want.min_exponents() == (0,) * n
+        want = LaurentPoly.const(n, 1)
+    assert _up_to_unit(got) == _up_to_unit(want)
+
+
+def test_gcd_give_up_stays_correct(monkeypatch):
+    # with no evaluation point GCDHEU gives up at once, and poly_gcd
+    # returns 1: a common divisor, so every result stays correct
+    monkeypatch.setattr(laurent, "HEU_TRIES", 0)
+    xm1 = LaurentPoly.from_dict(2, {(1, 0): 1, (0, 0): -1})                   # x - 1
+    a = LaurentPoly.from_dict(2, {(2, 0): 1, (0, 1): 3, (0, 0): 1})
+    b = LaurentPoly.from_dict(2, {(1, 1): 2, (0, 2): -1, (0, 0): 5})
+    g = xm1 * LaurentPoly.from_dict(2, {(0, 1): 1, (0, 0): 2})                # 4 terms
+    assert poly_gcd(a * g, b * g) == LaurentPoly.const(2, 1)
+    f = RationalFunction.make(a * g, b * g)
+    assert f.num.nterms() > a.nterms()                # left unreduced
+    reduced = RationalFunction.make(a, b)
+    assert f == reduced
+    assert hash(f) == hash(reduced)
+    lcm = poly_lcm(a * g, b * g)
+    assert poly_divide_exact(lcm, a * g) is not None
+    assert poly_divide_exact(lcm, b * g) is not None
+    monkeypatch.undo()
+    assert _up_to_unit(poly_gcd(a * g, b * g)) == _up_to_unit(g)
 
 
 def _dict(p):
