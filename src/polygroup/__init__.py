@@ -41,7 +41,6 @@ from .grouprings import (
     gr_mul,
     h1_projection,
     h1_rank,
-    newton_polytope,
     snf,
 )
 from .skewlaurent import (

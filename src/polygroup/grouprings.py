@@ -30,7 +30,7 @@ from .intlinalg import (
     mat_vec,
     snf,
 )
-from .lattice import AffineLatticeMap, IntegralPolytope, hull, pushforward
+from .lattice import AffineLatticeMap, hull
 from .vpolytope import TranslationClass, VirtualPolytope
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "snf",
     "h1_projection",
     "gr_mul",
-    "newton_polytope",
     "element_polytope",
 ]
 
@@ -196,17 +195,16 @@ def gr_mul(a: GroupRingElement, b: GroupRingElement, g: TwistedGroup) -> GroupRi
     return GroupRingElement(g.k, tuple(sorted(d.items())))
 
 
-def newton_polytope(a: GroupRingElement) -> IntegralPolytope:
-    """Convex hull of the exponent support in Z^{k+1}."""
-    if a.is_zero:
-        raise GroupRingError("polytope of zero")
-    return hull(a.support())
-
-
 def element_polytope(a: GroupRingElement, g: TwistedGroup) -> TranslationClass:
-    """Translation class of the support hull pushed to the H1 lattice."""
+    """P(a): translation class of a's support hull in the H1 lattice.
+
+    The support is projected first and hulled once, since the image of a
+    hull is the hull of the image. `DetClass.polytope` applies P to a
+    determinant as P(numerator) - P(denominator).
+    """
     if a.k != g.k:
         raise GroupRingError("group mismatch")
-    proj = h1_projection(g)
-    img = pushforward(proj, newton_polytope(a))
+    if a.is_zero:
+        raise GroupRingError("polytope of zero")
+    img = hull(list(map(h1_projection(g).apply, a.support())))
     return TranslationClass.of(VirtualPolytope.from_polytope(img))

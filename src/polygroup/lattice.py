@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .intlinalg import identity_matrix, int_det, mat_vec
+from .intlinalg import identity_matrix, int_det
 
 Point = tuple[int, ...]
 Covector = tuple[int, ...]
@@ -95,8 +95,7 @@ class AffineLatticeMap:
     def apply(self, point) -> Point:
         if len(point) != self.source_rank:
             raise GeometryError("rank mismatch in affine map application")
-        img = mat_vec([list(r) for r in self.matrix], list(point))
-        return tuple(x + o for x, o in zip(img, self.offset))
+        return tuple(dot(row, point) + o for row, o in zip(self.matrix, self.offset))
 
 
 @dataclass(frozen=True)

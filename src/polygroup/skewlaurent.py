@@ -173,19 +173,16 @@ def skew_divmod(a: SkewLaurentPoly, b: SkewLaurentPoly):
 
 @dataclass(frozen=True)
 class DetClass:
-    """Dieudonne determinant data: sign * numerator * denominator^{-1} * u^m."""
+    """Dieudonne determinant data: sign * numerator * denominator^{-1} * u^m.
+    Its polytope class P(numerator) - P(denominator) is derived only here."""
 
     numerator: GroupRingElement
     denominator: GroupRingElement
     unit_exponent: int
     sign: int
-    # the polytope is summed factor-wise by dieudonne_det: the polytope of
-    # a product is the sum of the factor polytopes, which avoids taking the
-    # support hull of one very large product element
-    cached_polytope: TranslationClass
 
     def polytope(self, g: TwistedGroup) -> TranslationClass:
-        return self.cached_polytope
+        return element_polytope(self.numerator, g).sub(element_polytope(self.denominator, g))
 
 
 def _matrix_to_skew(m, g: TwistedGroup):
@@ -255,24 +252,24 @@ def dieudonne_det(m, g: TwistedGroup):
     fractions. Otherwise the class is returned with cleared
     rational-function denominators: a pair of group ring elements whose
     formal quotient, up to sign and a u-power, is the determinant in the
-    abelianized units.
+    abelianized units. The pair is the product of the pivots' pairs; its
+    class P(numerator) - P(denominator) is left to `DetClass.polytope`.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise GroupRingError("determinant of a non-square matrix")
+    if n == 0:
+        return DetClass(GroupRingElement.one(g.k), GroupRingElement.one(g.k), 0, 1)
     rows = _matrix_to_skew(m, g)
     rank, _, sign = _eliminate(rows, full_rank=True)
     if rank < n:
         return None
-    num = GroupRingElement.one(g.k)
-    den = GroupRingElement.one(g.k)
-    pol = element_polytope(GroupRingElement.one(g.k), g)
-    for i in range(n):
+    num, den = rows[0][0].to_group_ring_pair()
+    for i in range(1, n):
         nd, dd = rows[i][i].to_group_ring_pair()
         num = gr_mul(num, nd, g)
         den = gr_mul(den, dd, g)
-        pol = pol.add(element_polytope(nd, g)).sub(element_polytope(dd, g))
-    return DetClass(num, den, 0, sign, pol)
+    return DetClass(num, den, 0, sign)
 
 
 def matrix_polytope(m, g: TwistedGroup):

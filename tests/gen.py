@@ -13,6 +13,12 @@ from polygroup.vpolytope import VirtualPolytope
 
 HEISENBERG = [[1, 1], [0, 1]]
 SOL = [[2, 1], [1, 1]]
+UNIPOTENT3 = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+ORDER6 = [[0, -1], [1, 1]]
+# the twists the property tests range over: A = I on Z^2, the two
+# classical 3-manifold groups, a k = 3 unipotent twist and a finite-order
+# twist whose H1 is the u-exponent alone
+TWISTS = ([[1, 0], [0, 1]], HEISENBERG, SOL, UNIPOTENT3, ORDER6)
 
 
 def rand_element(g: TwistedGroup, rng: random.Random, maxterms: int = 2,

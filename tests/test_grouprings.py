@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gen import HEISENBERG, SOL, mat_det, rand_element
+from gen import HEISENBERG, SOL, TWISTS, mat_det, rand_element
 from polygroup.grouprings import (
     GroupRingElement,
     GroupRingError,
@@ -12,7 +13,6 @@ from polygroup.grouprings import (
     gr_mul,
     h1_projection,
     h1_rank,
-    newton_polytope,
     snf,
 )
 from polygroup.intlinalg import (
@@ -23,7 +23,7 @@ from polygroup.intlinalg import (
     mat_vec,
     solve_integer_exact,
 )
-from polygroup.lattice import hull
+from polygroup.lattice import hull, pushforward
 from polygroup.vpolytope import TranslationClass, VirtualPolytope
 
 
@@ -165,12 +165,34 @@ def test_twist_power_large_exponents():
         GroupRingElement.monomial(2, (0, 1), -1500)
 
 
-def test_newton_polytope():
+def test_element_polytope_untwisted_is_support_hull():
+    # over A = I the H1 projection is the identity, so P(a) is the hull
+    # of the exponent support itself (its lexmin (0, 0) is already at the
+    # origin, where the class keeps it)
+    g = TwistedGroup.make(1, [[1]])
     a = GroupRingElement.from_dict(
         1, {((0,), 0): 1, ((2,), 1): -3, ((1,), -1): Fraction(1, 2)})
-    assert newton_polytope(a) == hull([(0, 0), (2, 1), (1, -1)])
+    cls = element_polytope(a, g)
+    assert cls.vp.pos == hull([(0, 0), (2, 1), (1, -1)])
+    assert cls.vp.neg.is_point
     with pytest.raises(GroupRingError):
-        newton_polytope(GroupRingElement.zero(1))
+        element_polytope(GroupRingElement.zero(1), g)
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32), twist=st.sampled_from(TWISTS),
+       factors=st.integers(1, 3))
+def test_element_polytope_is_image_of_support_hull(seed, twist, factors):
+    # hulling the projected support equals pushing the support hull in
+    # Z^{k+1} forward to H1: the image of a hull is the hull of the image
+    g = TwistedGroup.make(len(twist), twist)
+    rng = random.Random(seed)
+    a = rand_element(g, rng, maxterms=3)
+    for _ in range(factors - 1):
+        a = gr_mul(a, rand_element(g, rng, maxterms=3), g)
+    old = TranslationClass.of(VirtualPolytope.from_polytope(
+        pushforward(h1_projection(g), hull(a.support()))))
+    assert element_polytope(a, g) == old
 
 
 def test_element_polytope_multiplicative():

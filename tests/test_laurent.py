@@ -319,7 +319,7 @@ _SPARSE_PAIR = (2,
                 None)
 
 
-@settings(max_examples=250, deadline=None, derandomize=True)
+@settings(max_examples=250)
 @given(case=_gcd_cases())
 @example(case=_SPARSE_PAIR)
 def test_gcd_matches_sympy(case):
@@ -396,7 +396,7 @@ def _kernel_cases(draw):
     return n, poly(4, 4), poly(3, 2), m
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(case=_kernel_cases())
 def test_kernel_matches_oracle(case):
     n, da, db, m = case

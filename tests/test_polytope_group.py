@@ -348,7 +348,7 @@ def test_is_polytope_matches_erosion_oracle_rank3_and_rank4():
     assert dims == {(True, True), (True, False), (False, True), (False, False)}
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(data=st.data(), rank=st.integers(1, 4))
 def test_cancellation_law(data, rank):
     point = st.tuples(*[st.integers(-3, 3)] * rank)

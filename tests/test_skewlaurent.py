@@ -1,8 +1,11 @@
 import random
 
+from hypothesis import assume, given, settings, strategies as st
+
 from gen import (
     HEISENBERG,
     SOL,
+    TWISTS,
     commutative_det,
     invertible_product,
     rand_element,
@@ -22,6 +25,7 @@ from polygroup.skewlaurent import (
     rank_over_skew_field,
     skew_divmod,
 )
+from polygroup.vpolytope import is_polytope
 
 
 def to_skew(a, g):
@@ -97,6 +101,15 @@ def test_dieudonne_det_singular():
     assert dieudonne_det([[a, a], [a, a]], g) is None
 
 
+def test_dieudonne_det_of_empty_matrix_is_one():
+    # the zero complex's bordered contraction matrix is 0 x 0
+    g = TwistedGroup.make(2, HEISENBERG)
+    det = dieudonne_det([], g)
+    one = GroupRingElement.one(2)
+    assert (det.numerator, det.denominator, det.sign) == (one, one, 1)
+    assert det.polytope(g).is_zero()
+
+
 def test_dieudonne_matches_commutative_oracle():
     rng = random.Random(11)
     g = TwistedGroup.make(2, [[1, 0], [0, 1]])
@@ -112,6 +125,17 @@ def test_dieudonne_matches_commutative_oracle():
         assert det.polytope(g) == element_polytope(cdet, g)
         checked += 1
     assert checked >= 5
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2**32), twist=st.sampled_from(TWISTS))
+def test_polytope_class_of_nonsingular_matrix(seed, twist):
+    # the paper's theorem (i): a square matrix over ZG that is invertible
+    # over the skew field has a determinant whose class is a polytope
+    g = TwistedGroup.make(len(twist), twist)
+    cls = matrix_polytope(random_matrix(g, random.Random(seed), 2), g)
+    assume(cls is not None)
+    assert is_polytope(cls.vp) is not None
 
 
 def test_det_multiplicative_on_polytope_level():

@@ -90,7 +90,7 @@ def test_non_acyclic_complex_reported():
             assert not r.acyclic and r.polytope is None
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(seed=st.integers(0, 10**6), twist=st.sampled_from([HEISENBERG, SOL]),
        sizes=st.sampled_from([(1, 1), (2, 1), (1, 2)]),
        kill=st.sampled_from([None, 0, 1]))
@@ -143,7 +143,7 @@ def unimodular_twists(draw):
     return a
 
 
-@settings(max_examples=34, deadline=None, derandomize=True)
+@settings(max_examples=34)
 @given(twist=unimodular_twists())
 def test_vanishing_for_nontrivial_twists(twist):
     # the paper's vanishing theorem: Z^k x|_A Z with A != I has a
