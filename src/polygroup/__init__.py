@@ -60,7 +60,6 @@ from .torsion import (
     stabilize,
     torsion_polytope,
     torsion_via_contraction,
-    validate,
 )
 from .svg import render_svg
 

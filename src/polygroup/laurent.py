@@ -273,6 +273,9 @@ def _from_exponents(n: int, d: dict) -> LaurentPoly:
         d = {e: c for e, c in d.items() if c}
     if not d:
         return LaurentPoly.zero(n)
+    if len(d) == 1:
+        (e, c), = d.items()
+        return LaurentPoly(n, e, (0,) * n, _WIDTH0, {0: c})
     cols = list(zip(*d))
     lo = tuple(map(min, cols))
     span = tuple(max(col) - low for col, low in zip(cols, lo))

@@ -15,10 +15,17 @@ is therefore enough to read off ranks over that skew field and
 Dieudonne determinant classes of matrices over the rational group ring
 of G = Z^k x| Z, without ever forming a fraction.
 
-Group ring elements have `Fraction` coefficients; they are converted at
-two boundaries only: `from_group_ring` scales each u-coefficient to
-integers, and `to_group_ring_pair` returns to `Fraction`s over a
-denominator with lex-leading coefficient 1.
+For A = I the ring is commutative, Q[x^±, u^±], and the Dieudonne
+determinant is the ordinary one. There `_bareiss` runs fraction-free
+elimination on integer Laurent polynomials in k + 1 variables (u last)
+instead, and the determinant comes out exactly, over the constant
+denominator 1. Twisted matrices keep `_eliminate` until a fraction-free
+Ore kernel replaces it.
+
+Group ring elements have `Fraction` coefficients. A determinant turns
+them into integer data once, on the way in (`_integer_rows` for A = I,
+`from_group_ring` otherwise), keeps its products in integer Laurent
+polynomials, and makes `Fraction`s once, for the returned pair.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from .grouprings import (
     GroupRingError,
     TwistedGroup,
     element_polytope,
-    gr_mul,
 )
 from .laurent import LaurentPoly, RationalFunction, poly_divide_exact, poly_lcm
 from .vpolytope import TranslationClass
@@ -62,8 +68,11 @@ class SkewLaurentPoly:
             scale = lcm(*(c.denominator for c in mono.values()))
             num = LaurentPoly.from_dict(g.k, {v: c.numerator * (scale // c.denominator)
                                               for v, c in mono.items()})
-            d[m] = RationalFunction.make(num, LaurentPoly.const(g.k, scale))
-        return SkewLaurentPoly.from_dict(g, d)
+            # already the normal form: a prime dividing the scale misses
+            # the scaled numerator of a coefficient whose denominator
+            # holds its full power, and a constant denominator has no gcd
+            d[m] = RationalFunction(num, LaurentPoly.const(g.k, scale))
+        return SkewLaurentPoly(g, tuple(sorted(d.items())))
 
     @property
     def is_zero(self) -> bool:
@@ -123,6 +132,16 @@ class SkewLaurentPoly:
                 items.append((m + e, nc))
         return SkewLaurentPoly(self.group, tuple(sorted(items)))
 
+    def _cleared(self) -> tuple["SkewLaurentPoly", LaurentPoly]:
+        """self = d^{-1} N in integer data: d is the lcm over Z of the
+        coefficient denominators, and N has `LaurentPoly` coefficients.
+        `__mul__` multiplies such N as it multiplies self."""
+        d = LaurentPoly.const(self.group.k, 1)
+        for _, c in self.coeffs:
+            d = poly_lcm(d, c.den)
+        return SkewLaurentPoly(self.group, tuple(
+            (m, c.num * poly_divide_exact(d, c.den)) for m, c in self.coeffs)), d
+
     def to_group_ring_pair(self) -> tuple[GroupRingElement, GroupRingElement]:
         """Write self as d^{-1} N with N in QG and d a fiber Laurent polynomial.
 
@@ -132,20 +151,23 @@ class SkewLaurentPoly:
         """
         if self.is_zero:
             raise GroupRingError("zero element has no fraction form")
-        k = self.group.k
-        d_poly = LaurentPoly.const(k, 1)
-        for _, c in self.coeffs:
-            d_poly = poly_lcm(d_poly, c.den)
-        lc = d_poly.leading()[1]
-        terms = {}
-        for m, c in self.coeffs:
-            poly = c.num * poly_divide_exact(d_poly, c.den)
-            for e, q in poly.items():
-                terms[(e, m)] = Fraction(q, lc)
-        num = GroupRingElement.from_dict(k, terms)
-        den = GroupRingElement.from_dict(k, {(e, 0): Fraction(q, lc)
-                                             for e, q in d_poly.items()})
-        return num, den
+        num, d = self._cleared()
+        return _fraction_pair(num, d)
+
+
+def _element(k: int, terms, d: int) -> GroupRingElement:
+    """The group ring element sum (c / d) x^v u^m of integer terms
+    ((v, m), c) with distinct keys."""
+    return GroupRingElement(k, tuple(sorted(
+        (key, Fraction(c, d)) for key, c in terms)))
+
+
+def _fraction_pair(num: SkewLaurentPoly, d: LaurentPoly):
+    """(num / lc, d / lc) as group ring elements, lc the lex-leading
+    coefficient of d."""
+    k, lc = num.group.k, d.leading()[1]
+    return (_element(k, (((e, m), q) for m, p in num.coeffs for e, q in p.items()), lc),
+            _element(k, (((e, 0), q) for e, q in d.items()), lc))
 
 
 def skew_divmod(a: SkewLaurentPoly, b: SkewLaurentPoly):
@@ -185,8 +207,105 @@ class DetClass:
         return element_polytope(self.numerator, g).sub(element_polytope(self.denominator, g))
 
 
+class EliminationError(ArithmeticError):
+    """A fraction-free step whose exact division failed. Sylvester's
+    identity says it cannot, so this is a defect, never an answer."""
+
+
+def _untwisted(g: TwistedGroup) -> bool:
+    return all(x == (i == j) for i, row in enumerate(g.twist) for j, x in enumerate(row))
+
+
 def _matrix_to_skew(m, g: TwistedGroup):
     return [[SkewLaurentPoly.from_group_ring(e, g) for e in row] for row in m]
+
+
+def _integer_rows(m, k: int):
+    """A matrix over QG, G = Z^k x Z untwisted, as integer Laurent
+    polynomials in x_1..x_k, u, each row scaled by the lcm of its
+    coefficient denominators; returns (rows, product of the scales, the
+    zero polynomial that every zero entry shares)."""
+    rows, scale = [], 1
+    zero = LaurentPoly.zero(k + 1)      # polynomials are immutable: one zero serves
+    for row in m:
+        s = lcm(*(c.denominator for e in row for _, c in e.terms))
+        rows.append([LaurentPoly.from_dict(k + 1, {v + (u,): c.numerator * (s // c.denominator)
+                                                   for (v, u), c in e.terms})
+                     if e.terms else zero for e in row])
+        scale *= s
+    return rows, scale, zero
+
+
+def _bareiss(m, g: TwistedGroup, full_rank=False):
+    """Fraction-free row reduction (Bareiss, Math. Comp. 22, 1968) of a
+    matrix over QG for A = I, where QG = Q[x^±, u^±] is commutative.
+
+    The rows are taken as integer polynomials by `_integer_rows`. Column
+    by column, the live entry (nonzero, in a row without a pivot yet)
+    with the fewest terms, the first such row on ties, becomes the pivot
+    p and its row moves up to the next echelon position; every row below
+    it becomes (p a_ij - a_ic a_rj) / prev, prev the previous pivot (1 at
+    first). By Sylvester's identity each entry is then a minor of the
+    scaled matrix, so the division is exact and no gcd is taken, and the
+    last pivot of a nonsingular square matrix is its determinant up to
+    the sign of the swaps. A column with no live entry has no pivot.
+
+    Returns `_eliminate`'s (rank, labels, sign), then the last pivot (an
+    integer polynomial in k + 1 variables, None at rank 0) and the
+    product of the row scales. With full_rank the result is returned at
+    the first column without a pivot.
+    """
+    rows, scale, zero = _integer_rows(m, g.k)
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    labels = list(range(nrows))
+    rank, sign = 0, 1
+    prev, piv = LaurentPoly.const(g.k + 1, 1), None
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        live = [i for i in range(rank, nrows) if rows[i][col].terms]
+        if not live:
+            if full_rank:
+                break
+            continue
+        i = min(live, key=lambda i: len(rows[i][col].terms))
+        if i != rank:
+            rows[rank], rows[i] = rows[i], rows[rank]
+            labels[rank], labels[i] = labels[i], labels[rank]
+            sign = -sign
+        top = rows[rank]
+        piv = top[col]
+        same = piv == prev
+        for row in rows[rank + 1:]:
+            c = row[col]
+            if same and not c.terms:
+                continue                # the row times piv / prev = 1
+            for j in range(col + 1, ncols):
+                a, b = row[j], top[j]
+                if c.terms and b.terms:
+                    row[j] = _divide(piv * a - c * b, prev)
+                elif a.terms:
+                    row[j] = _divide(piv * a, prev)
+            row[col] = zero
+        prev = piv
+        rank += 1
+    return rank, labels, sign, piv, scale
+
+
+def _divide(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    q = poly_divide_exact(a, b)
+    if q is None:
+        raise EliminationError("inexact Bareiss division")
+    return q
+
+
+def _row_echelon(m, g: TwistedGroup, full_rank=False):
+    """(rank, labels, sign) of a matrix over QG, by `_bareiss` for A = I
+    and by `_eliminate` otherwise."""
+    if _untwisted(g):
+        return _bareiss(m, g, full_rank)[:3]
+    return _eliminate(_matrix_to_skew(m, g), full_rank)
 
 
 def _pivot_key(p: SkewLaurentPoly):
@@ -249,26 +368,42 @@ def dieudonne_det(m, g: TwistedGroup):
     """Dieudonne determinant class of a square matrix over QG, or None.
 
     None signals that the matrix is singular over the skew field of
-    fractions. Otherwise the class is returned with cleared
-    rational-function denominators: a pair of group ring elements whose
-    formal quotient, up to sign and a u-power, is the determinant in the
-    abelianized units. The pair is the product of the pivots' pairs; its
-    class P(numerator) - P(denominator) is left to `DetClass.polytope`.
+    fractions. For A = I the determinant itself is returned: the
+    numerator is det M / sign, the denominator is 1, and the sign is the
+    parity of `_bareiss`'s row swaps, so sign * numerator = det M.
+
+    Otherwise the class is returned with cleared rational-function
+    denominators: a pair of group ring elements whose formal quotient,
+    up to sign and a u-power, is the determinant in the abelianized
+    units. Each pivot of `_eliminate` is d_i^{-1} N_i in integer data;
+    the numerator is the twisted product of the N_i and the denominator
+    the product of the d_i, both divided by the lex-leading coefficient
+    of that product. The class P(numerator) - P(denominator) is left to
+    `DetClass.polytope`.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise GroupRingError("determinant of a non-square matrix")
+    k = g.k
     if n == 0:
-        return DetClass(GroupRingElement.one(g.k), GroupRingElement.one(g.k), 0, 1)
+        one = GroupRingElement.one(k)
+        return DetClass(one, one, 0, 1)
+    if _untwisted(g):
+        rank, _, sign, piv, scale = _bareiss(m, g, full_rank=True)
+        if rank < n:
+            return None
+        num = _element(k, (((e[:k], e[k]), c) for e, c in piv.items()), scale)
+        return DetClass(num, GroupRingElement.one(k), 0, sign)
     rows = _matrix_to_skew(m, g)
     rank, _, sign = _eliminate(rows, full_rank=True)
     if rank < n:
         return None
-    num, den = rows[0][0].to_group_ring_pair()
+    num, den = rows[0][0]._cleared()
     for i in range(1, n):
-        nd, dd = rows[i][i].to_group_ring_pair()
-        num = gr_mul(num, nd, g)
-        den = gr_mul(den, dd, g)
+        nd, dd = rows[i][i]._cleared()
+        num = num * nd
+        den = den * dd
+    num, den = _fraction_pair(num, den)
     return DetClass(num, den, 0, sign)
 
 
@@ -282,4 +417,4 @@ def matrix_polytope(m, g: TwistedGroup):
 
 def rank_over_skew_field(m, g: TwistedGroup) -> int:
     """Row rank of a (not necessarily square) matrix over the skew field."""
-    return _eliminate(_matrix_to_skew(m, g))[0]
+    return _row_echelon(m, g)[0]

@@ -28,12 +28,7 @@ from .grouprings import (
     element_polytope,
     gr_mul,
 )
-from .skewlaurent import (
-    dieudonne_det,
-    rank_over_skew_field,
-    _eliminate,
-    _matrix_to_skew,
-)
+from .skewlaurent import _row_echelon, dieudonne_det, rank_over_skew_field
 from .vpolytope import TranslationClass
 
 
@@ -100,10 +95,6 @@ class BasedChainComplex:
         return True, "ok"
 
 
-def validate(c: BasedChainComplex) -> bool:
-    return c.check()[0]
-
-
 def is_l2_acyclic(c: BasedChainComplex) -> bool:
     """Exactness after passing to the skew field of fractions:
     rank d_n + rank d_{n+1} = c_n in every degree n."""
@@ -157,8 +148,8 @@ def _choose_subsets(c: BasedChainComplex, rng: random.Random | None):
         order = list(range(c.ranks[n - 1]))
         if rng is not None:
             rng.shuffle(order)
-        rows = _matrix_to_skew([[mat[i][j] for j in cols] for i in order], g)
-        rank, labels, _ = _eliminate(rows, full_rank=True)
+        rank, labels, _ = _row_echelon([[mat[i][j] for j in cols] for i in order], g,
+                                       full_rank=True)
         if rank != len(cols):
             return None
         r[n - 1] = sorted(order[t] for t in labels[:rank])

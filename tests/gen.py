@@ -8,6 +8,7 @@ from itertools import permutations
 
 from polygroup.grouprings import GroupRingElement, TwistedGroup, gr_mul
 from polygroup.lattice import IntegralPolytope, hull, minkowski_sum
+from polygroup.skewlaurent import _eliminate, _matrix_to_skew
 from polygroup.torsion import BasedChainComplex
 from polygroup.vpolytope import VirtualPolytope
 
@@ -21,13 +22,17 @@ ORDER6 = [[0, -1], [1, 1]]
 TWISTS = ([[1, 0], [0, 1]], HEISENBERG, SOL, UNIPOTENT3, ORDER6)
 
 
+INTEGER_COEFFS = (-2, -1, 1, 2)
+FRACTION_COEFFS = (Fraction(-3, 2), Fraction(-1, 3), Fraction(1, 2), 2)
+
+
 def rand_element(g: TwistedGroup, rng: random.Random, maxterms: int = 2,
-                 box: int = 1) -> GroupRingElement:
+                 box: int = 1, coeffs=INTEGER_COEFFS) -> GroupRingElement:
     d = {}
     for _ in range(rng.randint(1, maxterms)):
         v = tuple(rng.randint(-box, box) for _ in range(g.k))
         m = rng.randint(-box, box)
-        d[(v, m)] = Fraction(rng.choice([-2, -1, 1, 2]))
+        d[(v, m)] = Fraction(rng.choice(coeffs))
     return GroupRingElement.from_dict(g.k, d)
 
 
@@ -112,7 +117,7 @@ def commutative_det(m, g: TwistedGroup) -> GroupRingElement:
 
 
 def random_matrix(g: TwistedGroup, rng: random.Random, n: int,
-                  maxterms: int = 2):
+                  maxterms: int = 2, coeffs=INTEGER_COEFFS):
     out = []
     for _ in range(n):
         row = []
@@ -120,9 +125,25 @@ def random_matrix(g: TwistedGroup, rng: random.Random, n: int,
             if rng.random() < 0.2:
                 row.append(GroupRingElement.zero(g.k))
             else:
-                row.append(rand_element(g, rng, maxterms))
+                row.append(rand_element(g, rng, maxterms, coeffs=coeffs))
         out.append(row)
     return out
+
+
+def euclidean_det_pair(m, g: TwistedGroup):
+    """(numerator, denominator, sign) of a square matrix the way the
+    determinant was first built, or None when it is singular: the
+    `_eliminate` pivots' `to_group_ring_pair`s multiplied by `gr_mul`."""
+    rows = _matrix_to_skew(m, g)
+    rank, _, sign = _eliminate(rows, full_rank=True)
+    if rank < len(m):
+        return None
+    num, den = rows[0][0].to_group_ring_pair()
+    for i in range(1, len(m)):
+        nd, dd = rows[i][i].to_group_ring_pair()
+        num = gr_mul(num, nd, g)
+        den = gr_mul(den, dd, g)
+    return num, den, sign
 
 
 def random_acyclic_complex(g: TwistedGroup, rng: random.Random,

@@ -1,12 +1,19 @@
 import random
+import time
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gen import (
+    FRACTION_COEFFS,
     HEISENBERG,
+    INTEGER_COEFFS,
+    ORDER6,
     SOL,
     TWISTS,
     commutative_det,
+    euclidean_det_pair,
+    gr_mat_mul,
     invertible_product,
     rand_element,
     random_matrix,
@@ -18,7 +25,9 @@ from polygroup.grouprings import (
     gr_mul,
 )
 from polygroup.laurent import LaurentPoly, RationalFunction
+from polygroup import skewlaurent
 from polygroup.skewlaurent import (
+    EliminationError,
     SkewLaurentPoly,
     dieudonne_det,
     matrix_polytope,
@@ -141,7 +150,6 @@ def test_polytope_class_of_nonsingular_matrix(seed, twist):
 def test_det_multiplicative_on_polytope_level():
     rng = random.Random(12)
     g = TwistedGroup.make(2, HEISENBERG)
-    from gen import gr_mat_mul
     for _ in range(5):
         a = invertible_product(g, rng, 2, 3)
         b = invertible_product(g, rng, 2, 3)
@@ -171,16 +179,130 @@ def test_rank_matches_commutative_oracle_untwisted():
     import sympy
     rng = random.Random(14)
     g = TwistedGroup.make(2, [[1, 0], [0, 1]])
+    zero = GroupRingElement.zero(2)
     x, y, u = sympy.symbols("x y u")
+
+    def draw(n, m):
+        return [[rand_element(g, rng, 2) if rng.random() < 0.8 else zero
+                 for _ in range(m)] for _ in range(n)]
+
+    mats = []
     for _ in range(8):
         n, m = rng.randint(1, 3), rng.randint(1, 3)
-        mat = [[rand_element(g, rng, 2) if rng.random() < 0.8
-                else GroupRingElement.zero(2) for _ in range(m)]
-               for _ in range(n)]
+        mats.append(draw(n, m))
+        # a zero row and a zero column
+        mats.append(draw(n, m) + [[zero] * m])
+        mats.append([row + [zero] for row in draw(n, m)])
+    for n, m, r in ((3, 2, 1), (2, 3, 1), (3, 4, 2), (4, 3, 2)):
+        # rank-deficient and not square: an n x r times an r x m product
+        mats.append(gr_mat_mul(draw(n, r), draw(r, m), g))
+    for mat in mats:
         sm = sympy.Matrix(
             [[sum(sympy.Rational(str(c)) * x**v[0] * y**v[1] * u**e
                   for (v, e), c in a.terms) for a in row] for row in mat])
         assert rank_over_skew_field(mat, g) == sm.rank()
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32), k=st.integers(0, 2), n=st.integers(1, 3),
+       coeffs=st.sampled_from((INTEGER_COEFFS, FRACTION_COEFFS)))
+def test_untwisted_det_is_exact(seed, k, n, coeffs):
+    # for A = I the determinant comes out exactly: sign * numerator is the
+    # Leibniz determinant, over the denominator 1
+    g = TwistedGroup.make(k, [[int(i == j) for j in range(k)] for i in range(k)])
+    m = random_matrix(g, random.Random(seed), n, coeffs=coeffs)
+    want = commutative_det(m, g)
+    det = dieudonne_det(m, g)
+    assert (det is None) == want.is_zero
+    assert (rank_over_skew_field(m, g) == n) == (det is not None)
+    if det is not None:
+        assert det.denominator == GroupRingElement.one(k)
+        assert det.numerator.scale(det.sign) == want
+
+
+def test_inexact_bareiss_division_is_an_error(monkeypatch):
+    # a failed exact division breaks Sylvester's identity: it must raise,
+    # never come back as a None entry of the matrix
+    g = TwistedGroup.make(0, [])
+    m = [[GroupRingElement.from_dict(0, {((), 0): c}) for c in row]
+         for row in ((1, 2), (3, 4))]
+    monkeypatch.setattr(skewlaurent, "poly_divide_exact", lambda a, b: None)
+    with pytest.raises(EliminationError):
+        dieudonne_det(m, g)
+
+
+def test_twisted_det_matches_euclidean_pair():
+    # twisted pivots are multiplied as integer data; the pair must be the
+    # one the pivots' Fraction pairs multiply to under gr_mul
+    # 3 x 3 random draws over Sol can take many seconds (the twisted tail
+    # the Euclidean kernel still has), so Sol is drawn up to 2 x 2 here
+    rng = random.Random(15)
+    checked = 0
+    for twist, sizes in ((HEISENBERG, (1, 2, 3)), (SOL, (1, 2)), (ORDER6, (1, 2, 3))):
+        g = TwistedGroup.make(2, twist)
+        for n in sizes:
+            for coeffs in (INTEGER_COEFFS, FRACTION_COEFFS):
+                for _ in range(3):
+                    m = random_matrix(g, rng, n, coeffs=coeffs)
+                    want = euclidean_det_pair(m, g)
+                    det = dieudonne_det(m, g)
+                    if want is None:
+                        assert det is None
+                        continue
+                    assert (det.numerator, det.denominator, det.sign) == want
+                    checked += 1
+    assert checked >= 30
+
+
+def _tail_matrix(rows):
+    # entries are tuples of terms (v_1, v_2, m, c) over Z^2 x Z
+    return [[GroupRingElement.from_dict(2, {((a, b), m): c for a, b, m, c in e})
+             for e in row] for row in rows]
+
+
+# Inputs of the benchmark's left-out families over Z^2 x Z (triple3 is
+# det A, det B and det AB of 3x3 monomial matrices) that Euclidean
+# elimination over rational functions did not finish in 5 s.
+UNTWISTED_TAIL = {
+    "triple3 index 1": [
+        [[((1, 0, 1, -1),), ((1, 0, -1, 1),), ((-1, 1, -1, -1),)],
+         [((-1, 1, 0, -1),), (), ((-1, -1, 0, -2),)],
+         [((-1, 0, 0, 1),), ((-1, -1, 1, 2),), ((1, -1, 1, -2),)]],
+        [[((-1, -1, -1, -2),), ((0, 0, 1, 2),), ((1, -1, 1, 2),)],
+         [(), ((1, 0, 1, -2),), ()],
+         [((0, -1, 0, -1),), ((1, 1, -1, -1),), ()]],
+        [[((-1, 0, -1, 1), (0, -1, 0, 2)), ((0, 2, -2, 1), (1, 0, 2, -2), (2, 0, 0, -2)), ((2, -1, 2, -2),)],
+         [((-2, 0, -1, 2), (-1, -2, 0, 2)), ((-1, 1, 1, -2), (0, 0, -1, 2)), ((0, 0, 1, -2),)],
+         [((-2, -1, -1, -2), (1, -2, 1, 2)), ((-1, 0, 1, 2), (0, -1, 2, -4), (2, 0, 0, 2)), ((0, -1, 1, 2),)]],
+    ],
+    "triple3 index 2": [
+        [[((-1, 1, 1, 2),), ((0, -1, -1, 2),), ((0, -1, 0, -2),)],
+         [((-1, 0, -1, -1),), ((-1, -1, 0, -1),), ((-1, 1, 0, 2),)],
+         [((0, -1, 1, -2),), (), ((0, 1, 0, -2),)]],
+        [[((1, 0, 1, -2),), ((0, 0, 0, -1),), ((1, 1, -1, 2),)],
+         [((-1, -1, 1, -2),), ((1, -1, 0, 2),), ((-1, -1, 1, -1),)],
+         [((0, 0, 1, 2),), ((1, 0, 1, 2),), ((1, 0, 1, -2),)]],
+        [[((-1, -2, 0, -4), (0, -1, 1, -4), (0, 1, 2, -4)), ((-1, 1, 1, -2), (1, -2, -1, 4), (1, -1, 1, -4)), ((-1, -2, 0, -2), (0, 2, 0, 4), (1, -1, 1, 4))],
+         [((-2, -2, 1, 2), (-1, 1, 1, 4), (0, 0, 0, 2)), ((-1, 0, -1, 1), (0, -2, 0, -2), (0, 1, 1, 4)), ((-2, -2, 1, 1), (0, 1, -2, -2), (0, 1, 1, -4))],
+         [((0, 1, 1, -4), (1, -1, 2, 4)), ((0, -1, 1, 2), (1, 1, 1, -4)), ((1, 0, 0, -4), (1, 1, 1, 4))]],
+    ],
+    "single3-2t index 3": [
+        [[((1, 1, -1, -2),), ((0, 0, 1, 2), (0, 1, 0, 1)), ((1, 0, -1, -2), (1, 0, 0, 2))],
+         [((-1, 1, 0, -2), (0, 0, 1, -1)), ((-1, 1, 0, -2), (0, 0, 1, -1)), ((1, -1, 1, -2),)],
+         [((-1, -1, 0, -1), (1, 1, 1, 1)), ((1, 1, 0, -1),), ((-1, -1, 0, 1), (0, 0, -1, 1))]],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNTWISTED_TAIL))
+def test_untwisted_tail_is_fast(name):
+    g = TwistedGroup.make(2, [[1, 0], [0, 1]])
+    mats = [_tail_matrix(rows) for rows in UNTWISTED_TAIL[name]]
+    t0 = time.perf_counter()
+    dets = [dieudonne_det(m, g) for m in mats]
+    assert time.perf_counter() - t0 < 0.5
+    for m, det in zip(mats, dets):
+        assert det.polytope(g) == element_polytope(commutative_det(m, g), g)
 
 
 def test_equal_skew_polys_hash_alike():

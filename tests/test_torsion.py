@@ -15,7 +15,6 @@ from polygroup.torsion import (
     stabilize,
     torsion_polytope,
     torsion_via_contraction,
-    validate,
 )
 from polygroup.vpolytope import TranslationClass, VirtualPolytope
 
@@ -43,9 +42,9 @@ def test_make_rejects_negative_ranks():
 
 
 def test_validate_builders():
-    assert validate(circle_complex())
+    assert circle_complex().check()[0]
     for twist in ([[1]], [[1, 0], [0, 1]], HEISENBERG, SOL):
-        assert validate(mapping_torus_complex(twist))
+        assert mapping_torus_complex(twist).check()[0]
 
 
 def test_circle_is_acyclic_with_torsion_minus_interval():
@@ -185,7 +184,7 @@ def test_stabilization_invariance():
     base = torsion_polytope(c)
     for degree in (1, 2, 3):
         s = stabilize(c, degree)
-        assert validate(s)
+        assert s.check()[0]
         r = torsion_polytope(s)
         assert r.acyclic and r.polytope == base.polytope
     # stabilizing twice still agrees
